@@ -160,8 +160,12 @@ def _read_outcomes(path, ids):
         idx_d = header.index("d") if "d" in header else None
         y_map = {}
         d_map = {}
+        id_row = {}
         for r, record in enumerate(reader, start=1):
             key = record[idx_id].strip()
+            first = id_row.setdefault(key, r)
+            if first != r:
+                raise LoadError(f"duplicate id {key!r} in outcomes at rows {first} and {r}")
             try:
                 y_map[key] = float(record[idx_y])
                 if idx_d is not None:

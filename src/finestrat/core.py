@@ -189,6 +189,7 @@ def load_covariates(source, role_map):
 
         rows = []
         ids = []
+        id_row = {}
         for r, record in enumerate(reader, start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
@@ -198,7 +199,11 @@ def load_covariates(source, role_map):
                 [_parse_cell(record[col_index[c]].strip(), r, c) for c in used_cols]
             )
             if id_col is not None:
-                ids.append(record[col_index[id_col]].strip())
+                uid = record[col_index[id_col]].strip()
+                first = id_row.setdefault(uid, r)
+                if first != r:
+                    raise LoadError(f"duplicate id {uid!r} at rows {first} and {r}")
+                ids.append(uid)
         if not rows:
             raise LoadError("no data rows")
         data = np.array(rows, dtype=np.float64)

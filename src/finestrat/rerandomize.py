@@ -603,36 +603,69 @@ def calibrate_threshold(region, partition, h, alpha, rng, draws=2000):
     gen = as_generator(rng)
     h = np.asarray(h, dtype=np.float64)
     probe = region.with_threshold(np.inf) if hasattr(region, "with_threshold") else region
-    pens, _, _ = _batch_penalties(probe, partition, h, gen, draws)
+    pens = _batch_penalties(probe, partition, h, gen, draws)
     return region.with_threshold(float(np.quantile(pens, alpha)))
 
 
-def _batch_penalties(region, partition, h, gen, draws, assign_batch=32, stat_batch=512):
-    """Penalties of `draws` fresh stratified draws; returns (penalties,
-    treated index batches, bound)."""
-    p = partition.p
-    bound = region.bind(h, partition, p)
-    stats_mat = bound.stats_matrix if getattr(bound, "stats_matrix", None) is not None else h
-    n = partition.n
+def _batch_penalties(region, partition, h, gen, draws):
+    """Penalties of `draws` fresh stratified draws."""
+    bound = region.bind(h, partition, partition.p)
     pens = np.empty(draws)
-    treated_all = []
     done = 0
-    batch = assign_batch if bound.needs_assignment else stat_batch
-    colsum = stats_mat.sum(axis=0)
-    vard = p * (1.0 - p)
+    for batch, _ in _scored_batches(bound, partition, h, gen, draws):
+        pens[done:done + batch.size] = batch
+        done += batch.size
+    return pens
+
+
+def _scored_batches(bound, partition, h, gen, draws):
+    """Score `draws` fresh stratified draws in batches of 32 (assignment-based
+    regions) or 512 (stat-based regions). Yields (penalties, treated) per
+    batch, where treated(b) gives draw b's (G, l) treated unit indices.
+
+    The generator consumes exactly the stream of one treated_units_batch
+    call per batch. For matched pairs (k = 2, l = 1, so p = 1/2) with a
+    stat-based region, draw b treats slot j[b, g] of group g, and
+    T = sqrt(n)(mean_1 - mean_0) = (2 j - 1) @ delta with
+    delta = (2 / sqrt(n)) (S[groups[:, 1]] - S[groups[:, 0]]): a batch costs
+    one sign GEMM over within-pair differences and no (B, G, l, d) gather.
+    """
+    n = partition.n
+    groups = partition.groups
+    p = partition.p
+    pairs = not bound.needs_assignment and partition.k == 2 and partition.l == 1
+    batch = 32 if bound.needs_assignment else 512
+    if not bound.needs_assignment:
+        S = h if bound.stats_matrix is None else bound.stats_matrix
+        if pairs:
+            # (j - 1/2) @ (2 delta) equals (2 j - 1) @ delta exactly
+            delta2 = (4.0 / np.sqrt(n)) * (S[groups[:, 1]] - S[groups[:, 0]])
+            rows = np.arange(partition.n_groups)
+        else:
+            colsum = S.sum(axis=0)
+            vard = p * (1.0 - p)
+    done = 0
     while done < draws:
         B = min(batch, draws - done)
-        treated = treated_units_batch(partition.groups, partition.l, gen, B)
-        if bound.needs_assignment:
-            dmat = assignment_matrix_from_treated(treated, n)
-            pens[done:done + B] = [bound.penalty_assignment(dmat[b]) for b in range(B)]
+        if pairs:
+            # the stream treated_units_batch draws for k = 2, l = 1
+            j = gen.integers(0, 2, size=(B, partition.n_groups))
+            pens = bound.penalty_stats((j - 0.5) @ delta2)
+
+            def treated(b, j=j):
+                return groups[rows, j[b]][:, None]
         else:
-            s1 = stats_mat[treated].sum(axis=(1, 2))
-            T = np.sqrt(n) * (s1 / (n * vard) - colsum / (n * (1.0 - p)))
-            pens[done:done + B] = bound.penalty_stats(T)
-        treated_all.append(treated)
+            idx = treated_units_batch(groups, partition.l, gen, B)
+            if bound.needs_assignment:
+                dmat = assignment_matrix_from_treated(idx, n)
+                pens = [bound.penalty_assignment(dmat[b]) for b in range(B)]
+            else:
+                s1 = S[idx].sum(axis=(1, 2))
+                T = np.sqrt(n) * (s1 / (n * vard) - colsum / (n * (1.0 - p)))
+                pens = bound.penalty_stats(T)
+            treated = idx.__getitem__
+        yield np.asarray(pens, dtype=np.float64), treated
         done += B
-    return pens, treated_all, bound
 
 
 def rerandomize(partition, h, region, rng, max_draws=100_000, keep_trace=False):
@@ -655,29 +688,15 @@ def rerandomize(partition, h, region, rng, max_draws=100_000, keep_trace=False):
     if region is None:
         region = FullSpaceRegion()
 
-    p = partition.p
     n = partition.n
-    vard = p * (1.0 - p)
-    bound = region.bind(h, partition, p)
-    stats_mat = bound.stats_matrix if getattr(bound, "stats_matrix", None) is not None else h
-    colsum = stats_mat.sum(axis=0)
-    batch = 32 if bound.needs_assignment else 512
-
+    bound = region.bind(h, partition, partition.p)
     trace = [] if keep_trace else None
     best_pen = np.inf
     best_treated = None
     best_idx = 0
     done = 0
-    while done < max_draws:
-        B = min(batch, max_draws - done)
-        treated = treated_units_batch(partition.groups, partition.l, gen, B)
-        if bound.needs_assignment:
-            dmat = assignment_matrix_from_treated(treated, n)
-            pens = np.array([bound.penalty_assignment(dmat[b]) for b in range(B)])
-        else:
-            s1 = stats_mat[treated].sum(axis=(1, 2))
-            T = np.sqrt(n) * (s1 / (n * vard) - colsum / (n * (1.0 - p)))
-            pens = np.asarray(bound.penalty_stats(T), dtype=np.float64)
+    for pens, treated in _scored_batches(bound, partition, h, gen, max_draws):
+        B = pens.size
         hits = np.where(pens <= bound.threshold)[0]
         stop = hits[0] if hits.size else B - 1
         if keep_trace:
@@ -687,11 +706,11 @@ def rerandomize(partition, h, region, rng, max_draws=100_000, keep_trace=False):
         bmin = int(np.argmin(pens[:upto])) if upto > 0 else 0
         if upto > 0 and pens[bmin] < best_pen:
             best_pen = float(pens[bmin])
-            best_treated = treated[bmin]
+            best_treated = treated(bmin)
             best_idx = done + bmin + 1
         if hits.size:
             b = int(hits[0])
-            d = assignment_matrix_from_treated(treated[b:b + 1], n)[0]
+            d = assignment_matrix_from_treated(treated(b)[None], n)[0]
             draw = AssignmentDraw(d=d, draw_index=done + b + 1, accepted=True,
                                   penalty=float(pens[b]))
             return (draw, trace) if keep_trace else draw

@@ -43,14 +43,16 @@ def _pairwise_sq_dists(points):
     return d
 
 
-def _greedy_groups(points, k):
+def _greedy_groups(points, k, what="units"):
     """Repeatedly take the unmatched unit farthest from its nearest unmatched
     neighbor and group it with its k-1 nearest unmatched neighbors.
-    Distance ties break toward the lowest index."""
+    Distance ties break toward the lowest index. `what` names the points
+    (units or group centroids) in the size-limit error."""
     n = points.shape[0]
     if n * n * 8 > 2 << 30:
         raise ConfigError(
-            f"greedy matching holds an n x n distance matrix; n={n} is too large"
+            f"greedy matching of {n} {what} would hold an {n} x {n} distance "
+            f"matrix of {n * n * 8} bytes, over the {2 << 30}-byte limit"
         )
     dist = _pairwise_sq_dists(points)
     np.fill_diagonal(dist, np.inf)
@@ -73,8 +75,9 @@ def _greedy_groups(points, k):
         groups.append(members)
         alive[members] = False
         remaining -= k
-        # only rows whose recorded nearest neighbor was just removed rescan
-        stale = np.where(alive & np.isin(nn_idx, members))[0]
+        # only rows whose recorded nearest neighbor was just removed rescan;
+        # every alive row's neighbor was alive before this group was taken
+        stale = np.where(alive & ~alive[nn_idx])[0]
         if stale.size:
             cols = np.where(alive)[0]
             sub = dist[np.ix_(stale, cols)]
@@ -160,7 +163,7 @@ def pair_groups_by_centroid(partition, psi):
     if G % 2 != 0:
         raise ConfigError(f"cannot pair an odd number of groups ({G})")
     centroids = psi[partition.groups].mean(axis=1)
-    pairs = _greedy_groups(centroids, 2)
+    pairs = _greedy_groups(centroids, 2, what="group centroids")
     rho = np.empty(G, dtype=np.intp)
     rho[pairs[:, 0]] = pairs[:, 1]
     rho[pairs[:, 1]] = pairs[:, 0]

@@ -110,8 +110,8 @@ def test_criterion_3_chi2_calibration():
     gen = np.random.default_rng(SEED + 20)
     h = gen.standard_normal((n, 5))
     part = GroupPartition(groups=np.arange(n).reshape(-1, 2), k=2, l=1)
-    pens, _, _ = _batch_penalties(MahalanobisRegion(alpha=0.5), part, h,
-                                  RngSpec(SEED + 21).generator(), reps)
+    pens = _batch_penalties(MahalanobisRegion(alpha=0.5), part, h,
+                            RngSpec(SEED + 21).generator(), reps)
     ok = True
     parts = []
     for alpha in (0.5, 0.1, 0.01):
@@ -139,8 +139,8 @@ def test_criterion_5_normality_restored(sr_large_run):
     res, _ = sr_large_run
     errors = res.errors["SR"]["adjusted"] * np.sqrt(1000)
     z = (errors - errors.mean()) / errors.std()
-    ad = sstats.anderson(z, dist="norm")
-    crit_1pct = ad.critical_values[-1]  # significance_level 1%
+    ad = sstats.anderson(z, dist="norm", method="interpolate")
+    crit_1pct = round(1.035 / (1 + 0.75 / z.size + 2.25 / z.size**2), 3)  # SciPy's 1% level
     ok = ad.statistic < crit_1pct
     assert _report("5 (adjusted estimator normality)", ok,
                    f"AD statistic {ad.statistic:.3f} < {crit_1pct:.3f} (1% level)")

@@ -233,3 +233,47 @@ def test_assign_trace_logs_every_draw(workspace):
         rows = list(csv.DictReader(fh))
     assert len(rows) == manifest["draws_to_accept"]
     assert rows[-1]["accepted"] == "True"
+
+
+def _id_workspace(tmp_path, ids):
+    gen = np.random.default_rng(5)
+    cov = tmp_path / "cov.csv"
+    with open(cov, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "psi", "h1"])
+        for uid, row in zip(ids, gen.standard_normal((len(ids), 2)).tolist()):
+            writer.writerow([uid] + row)
+    spec_path = tmp_path / "design.json"
+    spec_path.write_text(json.dumps({
+        "roles": {"id": "id", "psi": "psi", "h1": ["h", "w"]}, "k": 2, "l": 1,
+        "region": {"shape": "mahalanobis", "alpha": 0.2}, "seed": 3}))
+    return cov, spec_path
+
+
+def test_assign_rejects_duplicate_covariate_ids(tmp_path, capsys):
+    ids = [f"u{i}" for i in range(20)]
+    ids[13] = "u4"
+    cov, spec_path = _id_workspace(tmp_path, ids)
+    rc = main(["assign", "--spec", str(spec_path), "--data", str(cov),
+               "--out", str(tmp_path / "assign.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "duplicate id 'u4'" in err and "rows 5 and 14" in err
+
+
+def test_estimate_rejects_duplicate_outcome_ids(tmp_path, capsys):
+    ids = [f"u{i}" for i in range(20)]
+    cov, spec_path = _id_workspace(tmp_path, ids)
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(out)]) == 0
+    outcomes = tmp_path / "y.csv"
+    # a repeated id would otherwise keep only its last outcome
+    outcomes.write_text("id,y\n" + "".join(f"{u},{i}.5\n" for i, u in enumerate(ids))
+                        + "u7,100.0\n")
+    capsys.readouterr()
+    rc = main(["estimate", "--manifest", str(out) + ".manifest.json", "--data", str(cov),
+               "--outcomes", str(outcomes), "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "duplicate id 'u7'" in err and "rows 8 and 21" in err

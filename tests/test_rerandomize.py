@@ -25,6 +25,7 @@ from finestrat import (
     rerandomize,
     within_tuple_demean,
 )
+from finestrat.randomize import assignment_matrix_from_treated, treated_units_batch
 from finestrat.rerandomize import _batch_penalties
 
 
@@ -93,8 +94,8 @@ def test_mahalanobis_chi2_calibration_quick():
     gen = np.random.default_rng(2)
     h = gen.standard_normal((n, 5))
     part = _pairs(n)
-    pens, _, _ = _batch_penalties(MahalanobisRegion(alpha=0.8), part, h,
-                                  RngSpec(3).generator(), reps)
+    pens = _batch_penalties(MahalanobisRegion(alpha=0.8), part, h,
+                            RngSpec(3).generator(), reps)
     emp = np.mean(pens <= chi2_threshold(5, 0.8))
     assert abs(emp - 0.8) < 0.02
 
@@ -392,9 +393,103 @@ def test_calibrate_threshold_hits_target_rate():
     part = _pairs(n)
     region = calibrate_threshold(PolarRegion.ball(4, 1.0), part, h, alpha=0.2,
                                  rng=RngSpec(22), draws=4000)
-    pens, _, _ = _batch_penalties(region, part, h, RngSpec(23).generator(), 4000)
+    pens = _batch_penalties(region, part, h, RngSpec(23).generator(), 4000)
     emp = np.mean(pens <= region.eps)
     assert abs(emp - 0.2) < 0.03
+
+
+@pytest.mark.parametrize("k,l", [(3, 1), (4, 2)])
+def test_calibrate_threshold_hits_target_rate_larger_groups(k, l):
+    # groups other than matched pairs score draws by the gather-sum path
+    n = 300
+    h = np.random.default_rng(21).standard_normal((n, 4))
+    part = GroupPartition(groups=np.arange(n).reshape(-1, k), k=k, l=l)
+    region = calibrate_threshold(PolarRegion.ball(4, 1.0), part, h, alpha=0.2,
+                                 rng=RngSpec(22), draws=4000)
+    pens = _batch_penalties(region, part, h, RngSpec(23).generator(), 4000)
+    emp = np.mean(pens <= region.eps)
+    assert abs(emp - 0.2) < 0.03
+
+
+# -- matched-pair kernel against the treated_units_batch reference ----------
+
+
+def _reference_batches(region, part, h, gen, draws):
+    """(penalties, treated) per 512-draw batch, from treated_units_batch and
+    the gather-sum statistic T = sqrt(n)(mean_1 - mean_0)."""
+    bound = region.bind(h, part, part.p)
+    S = h if bound.stats_matrix is None else bound.stats_matrix
+    n, p = part.n, part.p
+    for start in range(0, draws, 512):
+        treated = treated_units_batch(part.groups, part.l, gen, min(512, draws - start))
+        s1 = S[treated].sum(axis=(1, 2))
+        T = np.sqrt(n) * (s1 / (n * p * (1 - p)) - S.sum(axis=0) / (n * (1 - p)))
+        yield bound.penalty_stats(T), treated
+
+
+def _reference_rerandomize(region, part, h, gen, max_draws):
+    """(draw_index, d, accepted): first draw in the region, else the first
+    draw of smallest penalty."""
+    thr = region.bind(h, part, part.p).threshold
+    best = (np.inf, 0, None)
+    start = 0
+    for pens, treated in _reference_batches(region, part, h, gen, max_draws):
+        hits = np.flatnonzero(pens <= thr)
+        b = hits[0] if hits.size else int(np.argmin(pens))
+        d = assignment_matrix_from_treated(treated[b:b + 1], part.n)[0]
+        if hits.size:
+            return start + b + 1, d, True
+        if pens[b] < best[0]:
+            best = (pens[b], start + b + 1, d)
+        start += pens.size
+    return best[1], best[2], False
+
+
+def _feasible_gmm_region():
+    def score(mat, beta):
+        x = mat[:, 0]
+        return np.column_stack([x - beta[0], mat[:, 1] * x - beta[1]])
+
+    return GmmRegion(score=score, jac=lambda mat, beta: -np.eye(2),
+                     base=MahalanobisRegion(alpha=0.5), feasible=True)
+
+
+@pytest.mark.parametrize("region", [
+    MahalanobisRegion(alpha=0.5),
+    PolarRegion.rectangle(np.array([-0.5, 0.2]), np.array([0.5, 1.5]), eps=1.0),
+    _feasible_gmm_region(),
+], ids=["mahalanobis", "polar", "feasible-gmm"])
+def test_pair_kernel_penalties_and_stream_match_reference(region):
+    n, draws = 400, 1100  # two full batches and a partial one
+    h = np.random.default_rng(40).standard_normal((n, 2))
+    part = GroupPartition(groups=np.random.default_rng(41).permutation(n).reshape(-1, 2),
+                          k=2, l=1)
+    gen, ref_gen = RngSpec(42).generator(), RngSpec(42).generator()
+    pens = _batch_penalties(region, part, h, gen, draws)
+    ref = np.concatenate([p for p, _ in _reference_batches(region, part, h, ref_gen, draws)])
+    np.testing.assert_allclose(pens, ref, rtol=1e-10, atol=0)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
+def test_pair_kernel_rerandomize_matches_reference():
+    n = 60
+    h = np.random.default_rng(43).standard_normal((n, 3))
+    part = GroupPartition(groups=np.random.default_rng(44).permutation(n).reshape(-1, 2),
+                          k=2, l=1)
+    region = MahalanobisRegion(alpha=0.005)
+    exhausted = late = 0
+    for seed in range(200):
+        # every fifth seed gets a budget that is often exhausted
+        max_draws = 300 if seed % 5 == 0 else 1500
+        gen, ref_gen = RngSpec(45, seed).generator(), RngSpec(45, seed).generator()
+        draw = rerandomize(part, h, region, gen, max_draws=max_draws)
+        index, d, accepted = _reference_rerandomize(region, part, h, ref_gen, max_draws)
+        assert (draw.draw_index, draw.accepted) == (index, accepted)
+        np.testing.assert_array_equal(draw.d, d)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        exhausted += not accepted
+        late += accepted and index > 512
+    assert exhausted >= 5 and late >= 5
 
 
 def test_rerandomize_reproducible():
@@ -469,7 +564,7 @@ def test_calibrate_threshold_assignment_based_region():
     region = calibrate_threshold(PropensityRegion(eps2=1.0), part, h, alpha=0.3,
                                  rng=RngSpec(35), draws=200)
     assert region.eps2 > 0
-    pens, _, _ = _batch_penalties(region, part, h, RngSpec(36).generator(), 200)
+    pens = _batch_penalties(region, part, h, RngSpec(36).generator(), 200)
     emp = np.mean(pens <= region.eps2)
     assert abs(emp - 0.3) < 0.12
 

@@ -9,6 +9,7 @@ from finestrat import (
     match_k_tuples,
     pair_groups_by_centroid,
 )
+from finestrat.stratify import _pairwise_sq_dists
 
 
 def _groups_as_sets(partition):
@@ -138,3 +139,41 @@ def test_random_within_cell_method():
     part = match_k_tuples(psi, MatchConfig(2, 1, method="random-within-cell"), RngSpec(4))
     for g in part.groups:
         assert psi[g[0]] == psi[g[1]]
+
+
+def _greedy_reference(points, k):
+    """Greedy matching recomputing every nearest alive neighbor each step."""
+    dist = _pairwise_sq_dists(points)
+    alive = list(range(points.shape[0]))
+    groups = []
+    while len(alive) > k:
+        nn = [min(dist[i, j] for j in alive if j != i) for i in alive]
+        anchor = alive[int(np.argmax(nn))]
+        rest = sorted((dist[anchor, j], j) for j in alive if j != anchor)
+        members = [anchor] + [j for _, j in rest[:k - 1]]
+        groups.append(members)
+        alive = [i for i in alive if i not in members]
+    groups.append(alive)
+    return np.array(groups)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_greedy_matches_full_rescan_reference(k):
+    for seed in range(5):
+        psi = np.random.default_rng(seed).standard_normal((60, 2))
+        part = match_k_tuples(psi, MatchConfig(k, 1, method="greedy-nn"))
+        np.testing.assert_array_equal(part.groups, _greedy_reference(psi, k))
+
+
+def test_centroid_pairing_size_guard_counts_centroids(monkeypatch):
+    # 16386 sorted-1d pairs: the centroid distance matrix would exceed the
+    # 2 GiB limit, and the guard must refuse before allocating it
+    def no_matrix(points):
+        raise AssertionError("n x n distance matrix allocated")
+
+    G = 16386
+    psi = np.arange(2.0 * G)
+    part = match_k_tuples(psi, MatchConfig(2, 1, method="sorted-1d"))
+    monkeypatch.setattr("finestrat.stratify._pairwise_sq_dists", no_matrix)
+    with pytest.raises(ConfigError, match=rf"of {G} group centroids .* {G * G * 8} bytes"):
+        pair_groups_by_centroid(part, psi)
