@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from .core import ConfigError, SingularityError
+from .core import ConfigError, SingularityError, horvitz_thompson_weights
 from .gmm import solve_gmm
 from .rerandomize import within_tuple_demean
 
@@ -47,7 +48,7 @@ def _solve_gram(gram, rhs, names):
         chol = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         # column-pivoted QR identifies which columns are (near-)collinear
-        _, r, piv = _qr_pivot(gram)
+        _, r, piv = sla.qr(gram, pivoting=True)
         diag = np.abs(np.diag(r))
         tol = diag.max() * 1e-10 if diag.size else 0.0
         bad = [names[piv[j]] for j in range(len(diag)) if diag[j] <= tol]
@@ -60,17 +61,16 @@ def _solve_gram(gram, rhs, names):
     return np.linalg.solve(chol.T, z)
 
 
-def _qr_pivot(a):
-    import scipy.linalg as sla
-
-    q, r, piv = sla.qr(a, pivoting=True)
-    return q, r, piv
-
-
 def fit_adjustment(fit, frame, partition, w=None, w_names=None):
     """Arm-specific projection coefficients of the influence contributions
     on demeaned adjustment covariates, and the adjusted point estimate
     theta_adj = theta - E_n[H * alpha'w]."""
+    u = fit.scores @ fit.Pi.T  # (n, d_theta) influence contributions
+    return _adjust_with_influence(fit, frame, partition, w, w_names, u)
+
+
+def _adjust_with_influence(fit, frame, partition, w, w_names, u):
+    """fit_adjustment for given (n, d_theta) influence contributions u."""
     if w is None:
         w = frame.covariates.w
         w_names = w_names or frame.covariates.w_names
@@ -99,7 +99,6 @@ def fit_adjustment(fit, frame, partition, w=None, w_names=None):
             "(annihilated by demeaning); drop columns matched exactly by the "
             "stratification"
         )
-    u = fit.scores @ fit.Pi.T  # (n, d_theta) influence contributions
     return _refit_with_influence(fit, frame, partition, w, u, w_names, 1)
 
 
@@ -135,7 +134,7 @@ def _refit_with_influence(fit, frame, partition, w, u, w_names, iteration):
     beta1 = vard * _solve_gram(gram, _cov_within_arm(wc, u, mask1), names)
     beta0 = vard * _solve_gram(gram, _cov_within_arm(wc, u, ~mask1), names)
     alpha = beta1 - beta0
-    hw = np.where(frame.d == 1, 1.0 / p, -1.0 / (1.0 - p))
+    hw = horvitz_thompson_weights(frame)
     theta_adj = fit.theta - (hw[:, None] * w).mean(axis=0) @ alpha
     return AdjustmentFit(
         alpha=alpha, beta1=beta1, beta0=beta0, theta_adj=theta_adj,
@@ -144,47 +143,19 @@ def _refit_with_influence(fit, frame, partition, w, u, w_names, iteration):
 
 
 def one_step_cate_adjust(frame, partition, w=None, w_names=None):
-    """Closed-form adjustment for the treatment-effect BLP: the coefficient
-    does not depend on theta, so no second pass over the scores is needed."""
+    """Closed-form adjustment for the treatment-effect BLP: the projection
+    uses the influence H*y*x'(X'X/n)^{-1}, which does not depend on theta,
+    so no second pass over the scores is needed. A different finite-sample
+    estimator from two_step_adjust, with the same limit."""
     from .gmm import score_cate_blp
 
     x = frame.covariates.x
     if x.shape[1] == 0:
         raise ConfigError("one-step BLP adjustment needs heterogeneity regressors x")
-    if w is None:
-        w = frame.covariates.w
-        w_names = w_names or frame.covariates.w_names
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 1:
-        w = w[:, None]
-    n = frame.n
-    p = frame.p
-    names = w_names or tuple(f"w{j}" for j in range(w.shape[1]))
-
     fit = solve_gmm(frame, score_cate_blp())
-    if w.shape[1] == 0:
-        return fit, AdjustmentFit(
-            alpha=np.zeros((0, x.shape[1])), beta1=np.zeros((0, x.shape[1])),
-            beta0=np.zeros((0, x.shape[1])), theta_adj=fit.theta.copy(),
-            gram=np.zeros((0, 0)), cond=1.0, w=w,
-        )
-    wc = within_tuple_demean(w, partition)
-    gram = wc.T @ wc / n
-    xx_inv = np.linalg.inv(x.T @ x / n)
-    yx = frame.y[:, None] * x
-    mask1 = frame.d == 1
-    cov1 = _cov_within_arm(wc, yx, mask1)
-    cov0 = _cov_within_arm(wc, yx, ~mask1)
-    beta1 = _solve_gram(gram, (1.0 - p) * cov1, names) @ xx_inv
-    beta0 = _solve_gram(gram, -p * cov0, names) @ xx_inv
-    alpha = beta1 - beta0
-    hw = np.where(mask1, 1.0 / p, -1.0 / (1.0 - p))
-    theta_adj = fit.theta - (hw[:, None] * w).mean(axis=0) @ alpha
-    adj = AdjustmentFit(
-        alpha=alpha, beta1=beta1, beta0=beta0, theta_adj=theta_adj,
-        gram=gram, cond=float(np.linalg.cond(gram)), w=w,
-    )
-    return fit, adj
+    hy = horvitz_thompson_weights(frame) * frame.y
+    u = (hy[:, None] * x) @ np.linalg.inv(x.T @ x / frame.n)
+    return fit, _adjust_with_influence(fit, frame, partition, w, w_names, u)
 
 
 def double_robustness_decomposition(frame, partition, fit, adj, gamma0, sate=None):
@@ -194,7 +165,7 @@ def double_robustness_decomposition(frame, partition, fit, adj, gamma0, sate=Non
     w = adj.w
     if w.shape[1] == 0:
         raise ConfigError("decomposition requires adjustment covariates (w = h)")
-    hw = np.where(frame.d == 1, 1.0 / frame.p, -1.0 / (1.0 - frame.p))
+    hw = horvitz_thompson_weights(frame)
     imbalance = (hw[:, None] * w).mean(axis=0)  # = mean_1(w) - mean_0(w)
     gamma0 = np.asarray(gamma0, dtype=np.float64).reshape(adj.alpha.shape)
     rootn = np.sqrt(frame.n)

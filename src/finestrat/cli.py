@@ -29,7 +29,7 @@ from .core import (
 )
 from .gmm import estimand_by_name
 from .inference import confidence_intervals, variance_components
-from .rerandomize import FullSpaceRegion, calibrate_threshold, region_from_dict, rerandomize
+from .rerandomize import calibrate_threshold, region_from_dict, rerandomize
 from .simulate import DgpSpec, run_monte_carlo, benchmark_designs
 from .stratify import MatchConfig, match_k_tuples, pair_groups_by_centroid
 
@@ -162,6 +162,11 @@ def _read_outcomes(path, ids):
         d_map = {}
         id_row = {}
         for r, record in enumerate(reader, start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if len(record) < len(header):
+                raise LoadError(
+                    f"outcomes row {r} has {len(record)} fields, expected {len(header)}")
             key = record[idx_id].strip()
             first = id_row.setdefault(key, r)
             if first != r:
@@ -262,8 +267,6 @@ def cmd_calibrate(args):
     table = load_covariates(args.data, spec["roles"])
     partition, _ = _build_partition(spec, table, seed)
     region = region_from_dict(spec.get("region"))
-    if isinstance(region, FullSpaceRegion):
-        raise ConfigError("nothing to calibrate: design spec has no region")
     calibrated = calibrate_threshold(region, partition, table.h, args.alpha,
                                      RngSpec(seed, 2), draws=args.draws)
     doc = calibrated.to_dict()

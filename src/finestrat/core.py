@@ -425,3 +425,22 @@ def horvitz_thompson_weights(frame_or_d, p=None):
     if p is None or not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     return np.where(d == 1, 1.0 / p, -1.0 / (1.0 - p))
+
+
+def cov_n(a, b=None):
+    """Covariance with 1/n normalization between the columns of a and b
+    (b defaults to a)."""
+    ac = a - a.mean(axis=0)
+    bc = ac if b is None else b - b.mean(axis=0)
+    return ac.T @ bc / a.shape[0]
+
+
+def psd_root(mat, label=None):
+    """Symmetric square root of a positive semidefinite matrix, with
+    eigenvalues clipped at zero. Given a label, a materially negative
+    eigenvalue raises ConfigError naming the matrix instead."""
+    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
+    evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
+    if label is not None and evals.min() < -1e-10 * max(evals.max(), 1.0):
+        raise ConfigError(f"{label} must be positive semidefinite")
+    return evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as _sstats
 
-from .core import ConfigError, EstimationError
+from .core import ConfigError, EstimationError, cov_n, horvitz_thompson_weights
 
 _NEG_TOL = 1e-6
 
@@ -94,8 +94,7 @@ def variance_components(frame, partition, adj, fit, spec=None):
         w_term = np.zeros_like(u)
         alpha_w = np.zeros_like(u)
     psi_a = vard * u - w_term
-    hw = np.where(d == 1, 1.0 / p, -1.0 / (1.0 - p))
-    s_hat = u - hw[:, None] * alpha_w
+    s_hat = u - horvitz_thompson_weights(d, p)[:, None] * alpha_w
 
     groups = partition.groups
     counts1 = d[groups].sum(axis=1)
@@ -150,10 +149,9 @@ def superpop_variance(components, main_text_scaling=False):
     vard = components.p * (1.0 - components.p)
     correction = components.v1 + components.v0 - components.v10 - components.v10.T
     if main_text_scaling:
-        base = components.psi_a
-        v = _var_n(base) - vard * correction
+        v = cov_n(components.psi_a) - vard * correction
     else:
-        v = _var_n(components.s_hat) - correction / vard
+        v = cov_n(components.s_hat) - correction / vard
     v = (v + v.T) / 2.0
     evals, evecs = np.linalg.eigh(v)
     if evals.min() < 0.0:
@@ -166,11 +164,6 @@ def superpop_variance(components, main_text_scaling=False):
         v = evecs @ np.diag(np.clip(evals, 0.0, None)) @ evecs.T
         v = (v + v.T) / 2.0
     return v
-
-
-def _var_n(a):
-    c = a - a.mean(axis=0)
-    return c.T @ c / a.shape[0]
 
 
 def normal_quantile(q):

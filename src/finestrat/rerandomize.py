@@ -1,10 +1,27 @@
 """Imbalance statistics, acceptance regions, and the accept/reject loop.
 
-A region decides accept/reject from either the standardized mean-difference
-statistic T = sqrt(n) * (mean_1(h) - mean_0(h)) or, for criteria built on
-refitted models (propensity, within-arm moment fits), from the full
-assignment vector. Stat-based regions are evaluated on whole batches of
-candidate draws at once, which keeps long rejection loops cheap.
+Every region is a penalty compared with a threshold: a draw is accepted when
+its penalty is at most the threshold. Binding a region to data gives a
+``Bound(penalty, threshold, stats)``:
+
+* ``stats`` is the n x m matrix the balance statistic
+  T = sqrt(n) * (mean_1(stats) - mean_0(stats)) is built from (``h`` itself,
+  or the pooled-fit scores of a feasible moment-fit region), and ``penalty``
+  maps a (B, m) batch of T to B penalties. Such regions are scored on whole
+  batches of candidate draws at once, which keeps long rejection loops cheap.
+* ``stats`` is None for a region that refits a model on every candidate
+  (propensity, exact within-arm moment fits); ``penalty`` then maps one
+  assignment vector to a float.
+
+A region implements at least ``fixed(dim)`` or ``bind(h, partition, p)``.
+``fixed(dim)`` returns the bound of a region that is a fixed function of a
+dim-vector T and needs no covariance (full space, polar/ball/box); the base
+class then supplies ``bind`` (the same bound with ``stats = h``) and
+``population(var_zh)`` (the bound on the limiting Gaussian statistic).
+Regions that need the data override ``bind``, and ``population`` when they
+have a limiting analog. ``with_threshold`` and ``to_dict`` enable Monte
+Carlo calibration and JSON specs; the base class raises ``ConfigError`` for
+each method a region lacks.
 """
 
 from __future__ import annotations
@@ -22,6 +39,7 @@ from .core import (
     ExperimentFrame,
     SingularityError,
     as_generator,
+    psd_root,
 )
 from .gmm import fd_jacobian, newton_root
 from .randomize import (
@@ -52,16 +70,22 @@ def within_tuple_demean(v, partition):
     return out[:, 0] if squeeze else out
 
 
-def _arm_mean_diff(x, d):
-    return x[d == 1].mean(axis=0) - x[d == 0].mean(axis=0)
-
-
 def _finite_sample_sigma(x, partition, p):
     """Var(D)^{-1} * (k/(k-1)) * E_n[xcheck xcheck'] on demeaned columns."""
     xc = within_tuple_demean(x, partition)
     k = partition.k
     vard = p * (1.0 - p)
     return (xc.T @ xc) / x.shape[0] * (k / (k - 1.0)) / vard
+
+
+def _balance_cholesky(sigma):
+    try:
+        return np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        raise SingularityError(
+            "balance covariance matrix is singular; remove duplicated or "
+            "collinear balance columns"
+        ) from None
 
 
 def mahalanobis_stat(frame, partition, x=None):
@@ -75,15 +99,8 @@ def mahalanobis_stat(frame, partition, x=None):
         x = x[:, None]
     if x.shape[1] == 0:
         raise ConfigError("no balance covariates (d_h = 0)")
-    sigma = _finite_sample_sigma(x, partition, frame.p)
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError:
-        raise SingularityError(
-            "balance covariance matrix is singular; remove duplicated or "
-            "collinear balance columns"
-        ) from None
-    diff = _arm_mean_diff(x, frame.d)
+    chol = _balance_cholesky(_finite_sample_sigma(x, partition, frame.p))
+    diff = x[frame.d == 1].mean(axis=0) - x[frame.d == 0].mean(axis=0)
     z = np.linalg.solve(chol, diff)
     m = float(frame.n * (z @ z))
     return ImbalanceStat(kind="mahalanobis", value=m, raw=np.sqrt(frame.n) * diff)
@@ -121,45 +138,24 @@ def polar_penalty(x, gamma_bar, U, p=2.0):
     """Worst-case projected imbalance sup over the coefficient set
     gamma_bar + U * (unit p-ball): equals |x'gamma_bar| + |U'x|_q with q the
     conjugate exponent."""
-    x = np.asarray(x, dtype=np.float64)
-    gamma_bar = np.asarray(gamma_bar, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    _check_invertible(U, "U")
-    q = _conjugate_exponent(p)
-    return float(np.abs(x @ gamma_bar) + _rowwise_norm((U.T @ x)[None, :], q)[0])
-
-
-def _check_invertible(U, label):
-    sv = np.linalg.svd(U, compute_uv=False)
-    if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-        raise SingularityError(f"{label} matrix is singular")
+    return float(PolarRegion(gamma_bar=gamma_bar, U=U, p_exponent=p).penalty(x)[0])
 
 
 # ---------------------------------------------------------------------------
 # acceptance regions
 
 
-class _StatBound:
-    """Penalty evaluator for regions that are functions of the balance
-    statistic T = sqrt(n)(mean_1 - mean_0)."""
+@dataclass(frozen=True)
+class Bound:
+    """A region bound to data: accept when penalty <= threshold. With
+    ``stats`` (n x m), ``penalty`` scores a (B, m) batch of statistics
+    T = sqrt(n)(mean_1(stats) - mean_0(stats)); with ``stats`` None it
+    rescores one assignment vector. Bounds from ``fixed`` and
+    ``population`` score statistics and carry no ``stats``."""
 
-    needs_assignment = False
-
-    def __init__(self, penalty_batch, threshold, stats_matrix=None):
-        self._penalty_batch = penalty_batch
-        self.threshold = threshold
-        self.stats_matrix = stats_matrix
-
-    def penalty_stats(self, t_batch):
-        return self._penalty_batch(np.atleast_2d(t_batch))
-
-
-class _AssignBound:
-    needs_assignment = True
-
-    def __init__(self, penalty_assignment, threshold):
-        self.penalty_assignment = penalty_assignment
-        self.threshold = threshold
+    penalty: Callable
+    threshold: float
+    stats: np.ndarray | None = None
 
 
 class AcceptanceRegion:
@@ -167,15 +163,22 @@ class AcceptanceRegion:
 
     shape = "abstract"
 
+    def fixed(self, dim):
+        """Bound on a dim-vector statistic, for regions needing no covariance."""
+        raise ConfigError(
+            f"region {self.shape!r} is not a fixed function of the balance "
+            "statistic and has no population analog"
+        )
+
     def bind(self, h, partition, p):
-        raise NotImplementedError
+        return replace(self.fixed(h.shape[1]), stats=h)
 
     def population(self, var_zh):
-        """Evaluator for the limiting statistic with covariance var_zh."""
-        raise ConfigError(f"region {self.shape!r} has no population analog")
+        """Bound on the limiting statistic with covariance var_zh."""
+        return self.fixed(var_zh.shape[0])
 
     def with_threshold(self, threshold):
-        raise NotImplementedError
+        raise ConfigError(f"region {self.shape!r} has no threshold to calibrate")
 
     def to_dict(self):
         raise ConfigError(f"region {self.shape!r} is not JSON-serializable")
@@ -187,11 +190,8 @@ class FullSpaceRegion(AcceptanceRegion):
 
     shape = "none"
 
-    def bind(self, h, partition, p):
-        return _StatBound(lambda T: np.zeros(T.shape[0]), np.inf)
-
-    def population(self, var_zh):
-        return _StatBound(lambda T: np.zeros(T.shape[0]), np.inf)
+    def fixed(self, dim):
+        return Bound(lambda T: np.zeros(T.shape[0]), np.inf)
 
     def to_dict(self):
         return {"shape": "none"}
@@ -218,29 +218,28 @@ class MahalanobisRegion(AcceptanceRegion):
             return float(self.eps2)
         return chi2_threshold(r, self.alpha)
 
-    def _bound_from_sigma(self, sigma, r):
-        try:
-            chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError:
-            raise SingularityError(
-                "balance covariance matrix is singular; remove duplicated or "
-                "collinear balance columns"
-            ) from None
+    def _bound(self, sigma, stats=None):
+        chol = _balance_cholesky(sigma)
 
         def penalty(T):
             z = np.linalg.solve(chol, T.T)
             return np.einsum("ib,ib->b", z, z)
 
-        return _StatBound(penalty, self._threshold(r))
+        return Bound(penalty, self._threshold(sigma.shape[0]), stats)
+
+    def fixed(self, dim):
+        raise ConfigError(
+            "the quadratic region needs the balance covariance; a moment-fit "
+            "region takes it as a base only with feasible=True"
+        )
 
     def bind(self, h, partition, p):
         if h.shape[1] == 0:
             raise ConfigError("quadratic region needs balance covariates (d_h = 0)")
-        sigma = _finite_sample_sigma(h, partition, p)
-        return self._bound_from_sigma(sigma, h.shape[1])
+        return self._bound(_finite_sample_sigma(h, partition, p), h)
 
     def population(self, var_zh):
-        return self._bound_from_sigma(var_zh, var_zh.shape[0])
+        return self._bound(var_zh)
 
     def with_threshold(self, threshold):
         return MahalanobisRegion(alpha=None, eps2=threshold)
@@ -270,7 +269,9 @@ class PolarRegion(AcceptanceRegion):
         U = np.asarray(self.U, dtype=np.float64)
         if U.shape != (g.size, g.size):
             raise ConfigError(f"U must be {g.size}x{g.size}, got {U.shape}")
-        _check_invertible(U, "U")
+        sv = np.linalg.svd(U, compute_uv=False)
+        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+            raise SingularityError("U matrix is singular")
         _conjugate_exponent(self.p_exponent)
         if self.eps <= 0:
             raise ConfigError("eps must be positive")
@@ -303,18 +304,12 @@ class PolarRegion(AcceptanceRegion):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.abs(x @ self.gamma_bar) + _rowwise_norm(x @ self.U, q)
 
-    def _bound(self, dim):
+    def fixed(self, dim):
         if dim != self.gamma_bar.size:
             raise ConfigError(
                 f"region built for {self.gamma_bar.size} balance covariates, got {dim}"
             )
-        return _StatBound(self.penalty, self.eps)
-
-    def bind(self, h, partition, p):
-        return self._bound(h.shape[1])
-
-    def population(self, var_zh):
-        return self._bound(var_zh.shape[0])
+        return Bound(self.penalty, self.eps)
 
     def with_threshold(self, threshold):
         return replace(self, eps=threshold)
@@ -334,13 +329,9 @@ def pilot_wald_region(gamma_pilot, sigma_pilot, m, alpha, eps):
     size m: penalty |x'gamma_pilot| + sqrt(c_alpha/m) |sigma^{1/2} x|_2.
     The region expands as the pilot grows."""
     gamma_pilot = np.asarray(gamma_pilot, dtype=np.float64).ravel()
-    sigma_pilot = np.asarray(sigma_pilot, dtype=np.float64)
     if m < 1:
         raise ConfigError("pilot size m must be >= 1")
-    evals, evecs = np.linalg.eigh((sigma_pilot + sigma_pilot.T) / 2.0)
-    if evals.min() < -1e-10 * max(evals.max(), 1.0):
-        raise ConfigError("pilot covariance must be positive semidefinite")
-    root = evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+    root = psd_root(sigma_pilot, label="pilot covariance")
     c_alpha = float(_sstats.chi2.ppf(1.0 - alpha, df=gamma_pilot.size))
     U = np.sqrt(c_alpha / m) * root
     return PolarRegion(gamma_bar=gamma_pilot, U=U, p_exponent=2.0, eps=eps, shape="pilot-wald")
@@ -370,7 +361,7 @@ class PropensityRegion(AcceptanceRegion):
             except EstimationError:
                 return np.inf
 
-        return _AssignBound(penalty, float(self.eps2))
+        return Bound(penalty, float(self.eps2))
 
     def with_threshold(self, threshold):
         return replace(self, eps2=threshold)
@@ -400,46 +391,22 @@ class GmmRegion(AcceptanceRegion):
             raise ConfigError("moment-fit region needs covariates (d_h = 0)")
         pooled, G = _pooled_moment_fit(h, self.score, self.jac, self.beta_init)
         if self.feasible:
-            surrogate = np.atleast_2d(self.score(h, pooled))
-            base_bound = self.base.bind(surrogate, partition, p)
+            base = self.base.bind(np.atleast_2d(self.score(h, pooled)), partition, p)
+            return replace(base, penalty=lambda T: base.penalty(np.linalg.solve(G, T.T).T))
+        base = self.base.fixed(pooled.size)
 
-            def penalty(T):
-                return base_bound.penalty_stats(np.linalg.solve(G, T.T).T)
-
-            return _StatBound(penalty, base_bound.threshold, stats_matrix=surrogate)
-
-        def penalty_assignment(d):
+        def penalty(d):
             try:
                 stat = gmm_imbalance_arrays(h, d, self.score, jac=self.jac,
                                             beta_init=pooled)
             except EstimationError:
                 return np.inf
-            return _region_penalty_scalar(self.base, stat.value)
+            return float(base.penalty(stat.value[None])[0])
 
-        thr = _region_threshold_scalar(self.base, pooled.size)
-        return _AssignBound(penalty_assignment, thr)
+        return Bound(penalty, base.threshold)
 
     def with_threshold(self, threshold):
         return replace(self, base=self.base.with_threshold(threshold))
-
-
-def _region_penalty_scalar(base, x):
-    if isinstance(base, PolarRegion):
-        return float(base.penalty(x)[0])
-    if isinstance(base, FullSpaceRegion):
-        return 0.0
-    raise ConfigError(
-        "exact moment-fit regions support ball/polar bases; use feasible=True "
-        "for quadratic bases"
-    )
-
-
-def _region_threshold_scalar(base, dim):
-    if isinstance(base, PolarRegion):
-        return base.eps
-    if isinstance(base, FullSpaceRegion):
-        return np.inf
-    raise ConfigError("unsupported base region for exact moment-fit criterion")
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +499,18 @@ def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100
     )
 
 
+def _moment_root(x, score, jac, beta_init, label):
+    """Root of the sample moment of score on the rows of x, and the moment
+    function itself."""
+
+    def fun(beta):
+        return np.atleast_2d(score(x, beta)).mean(axis=0)
+
+    jfun = (lambda b: jac(x, b)) if jac is not None else None
+    beta, _, _ = newton_root(fun, jfun, beta_init, label=f"moment-fit[{label}]")
+    return beta, fun
+
+
 def _pooled_moment_fit(x, score, jac, beta_init, dim_beta=None):
     if beta_init is None:
         beta_init = np.zeros(x.shape[1] if dim_beta is None else dim_beta)
@@ -542,12 +521,7 @@ def _pooled_moment_fit(x, score, jac, beta_init, dim_beta=None):
             f"moment model has {probe.shape[1]} moments but {beta_init.size} "
             "parameters; pass dim_beta or beta_init for non-square models"
         )
-
-    def fun(beta):
-        return np.atleast_2d(score(x, beta)).mean(axis=0)
-
-    jfun = (lambda b: jac(x, b)) if jac is not None else None
-    beta, _, _ = newton_root(fun, jfun, beta_init, label="moment-fit[pooled]")
+    beta, fun = _moment_root(x, score, jac, beta_init, "pooled")
     G = jac(x, beta) if jac is not None else fd_jacobian(fun, beta)
     return beta, np.atleast_2d(np.asarray(G, dtype=np.float64))
 
@@ -558,19 +532,8 @@ def gmm_imbalance_arrays(x, d, score, jac=None, beta_init=None, dim_beta=None):
     d = np.asarray(d)
     n = x.shape[0]
     pooled, G = _pooled_moment_fit(x, score, jac, beta_init, dim_beta)
-
-    def arm_fit(rows, label):
-        sub = x[rows]
-
-        def fun(beta):
-            return np.atleast_2d(score(sub, beta)).mean(axis=0)
-
-        jfun = (lambda b: jac(sub, b)) if jac is not None else None
-        beta, _, _ = newton_root(fun, jfun, pooled, label=f"moment-fit[{label}]")
-        return beta
-
-    beta1 = arm_fit(d == 1, "treated")
-    beta0 = arm_fit(d == 0, "control")
+    beta1, _ = _moment_root(x[d == 1], score, jac, pooled, "treated")
+    beta0, _ = _moment_root(x[d == 0], score, jac, pooled, "control")
     value = np.sqrt(n) * (beta1 - beta0)
     surrogate = np.atleast_2d(score(x, pooled))
     return ImbalanceStat(
@@ -602,8 +565,7 @@ def calibrate_threshold(region, partition, h, alpha, rng, draws=2000):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     gen = as_generator(rng)
     h = np.asarray(h, dtype=np.float64)
-    probe = region.with_threshold(np.inf) if hasattr(region, "with_threshold") else region
-    pens = _batch_penalties(probe, partition, h, gen, draws)
+    pens = _batch_penalties(region.with_threshold(np.inf), partition, h, gen, draws)
     return region.with_threshold(float(np.quantile(pens, alpha)))
 
 
@@ -612,13 +574,13 @@ def _batch_penalties(region, partition, h, gen, draws):
     bound = region.bind(h, partition, partition.p)
     pens = np.empty(draws)
     done = 0
-    for batch, _ in _scored_batches(bound, partition, h, gen, draws):
+    for batch, _ in _scored_batches(bound, partition, gen, draws):
         pens[done:done + batch.size] = batch
         done += batch.size
     return pens
 
 
-def _scored_batches(bound, partition, h, gen, draws):
+def _scored_batches(bound, partition, gen, draws):
     """Score `draws` fresh stratified draws in batches of 32 (assignment-based
     regions) or 512 (stat-based regions). Yields (penalties, treated) per
     batch, where treated(b) gives draw b's (G, l) treated unit indices.
@@ -626,43 +588,42 @@ def _scored_batches(bound, partition, h, gen, draws):
     The generator consumes exactly the stream of one treated_units_batch
     call per batch. For matched pairs (k = 2, l = 1, so p = 1/2) with a
     stat-based region, draw b treats slot j[b, g] of group g, and
-    T = sqrt(n)(mean_1 - mean_0) = (2 j - 1) @ delta with
+    T = sqrt(n)(mean_1 - mean_0) = (2 j - 1) @ delta with S = bound.stats and
     delta = (2 / sqrt(n)) (S[groups[:, 1]] - S[groups[:, 0]]): a batch costs
     one sign GEMM over within-pair differences and no (B, G, l, d) gather.
     """
     n = partition.n
     groups = partition.groups
     p = partition.p
-    pairs = not bound.needs_assignment and partition.k == 2 and partition.l == 1
-    batch = 32 if bound.needs_assignment else 512
-    if not bound.needs_assignment:
-        S = h if bound.stats_matrix is None else bound.stats_matrix
-        if pairs:
-            # (j - 1/2) @ (2 delta) equals (2 j - 1) @ delta exactly
-            delta2 = (4.0 / np.sqrt(n)) * (S[groups[:, 1]] - S[groups[:, 0]])
-            rows = np.arange(partition.n_groups)
-        else:
-            colsum = S.sum(axis=0)
-            vard = p * (1.0 - p)
+    S = bound.stats
+    pairs = S is not None and partition.k == 2 and partition.l == 1
+    batch = 32 if S is None else 512
+    if pairs:
+        # (j - 1/2) @ (2 delta) equals (2 j - 1) @ delta exactly
+        delta2 = (4.0 / np.sqrt(n)) * (S[groups[:, 1]] - S[groups[:, 0]])
+        rows = np.arange(partition.n_groups)
+    elif S is not None:
+        colsum = S.sum(axis=0)
+        vard = p * (1.0 - p)
     done = 0
     while done < draws:
         B = min(batch, draws - done)
         if pairs:
             # the stream treated_units_batch draws for k = 2, l = 1
             j = gen.integers(0, 2, size=(B, partition.n_groups))
-            pens = bound.penalty_stats((j - 0.5) @ delta2)
+            pens = bound.penalty((j - 0.5) @ delta2)
 
             def treated(b, j=j):
                 return groups[rows, j[b]][:, None]
         else:
             idx = treated_units_batch(groups, partition.l, gen, B)
-            if bound.needs_assignment:
+            if S is None:
                 dmat = assignment_matrix_from_treated(idx, n)
-                pens = [bound.penalty_assignment(dmat[b]) for b in range(B)]
+                pens = [bound.penalty(dmat[b]) for b in range(B)]
             else:
                 s1 = S[idx].sum(axis=(1, 2))
                 T = np.sqrt(n) * (s1 / (n * vard) - colsum / (n * (1.0 - p)))
-                pens = bound.penalty_stats(T)
+                pens = bound.penalty(T)
             treated = idx.__getitem__
         yield np.asarray(pens, dtype=np.float64), treated
         done += B
@@ -695,7 +656,7 @@ def rerandomize(partition, h, region, rng, max_draws=100_000, keep_trace=False):
     best_treated = None
     best_idx = 0
     done = 0
-    for pens, treated in _scored_batches(bound, partition, h, gen, max_draws):
+    for pens, treated in _scored_batches(bound, partition, gen, max_draws):
         B = pens.size
         hits = np.where(pens <= bound.threshold)[0]
         stop = hits[0] if hits.size else B - 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .core import (
     GroupPartition,
     RngSpec,
     as_generator,
+    cov_n,
+    psd_root,
 )
 from .gmm import estimand_by_name
 from .inference import confidence_intervals, variance_components
@@ -110,7 +112,7 @@ def generate_dgp(spec, rng):
         np.fill_diagonal(sigma, 1.0)
         r = r @ np.linalg.cholesky(sigma).T
     cov_e = spec.resid_var * np.array([[1.0, spec.resid_corr], [spec.resid_corr, 1.0]])
-    e = gen.standard_normal((n, 2)) @ _psd_root(cov_e).T
+    e = gen.standard_normal((n, 2)) @ psd_root(cov_e).T
     b1, b0, quad1 = _model_coefficients(spec.model, m)
     if spec.model == 4:
         y1 = 2.0 * np.arctan(r @ b1) + e[:, 0]
@@ -230,38 +232,30 @@ def _oracle_influence(draw, estimand, p, x=None):
     """Per-unit sampling and assignment influence values (after applying
     the linearization matrix), plus the population-target parameter."""
     n = draw.r.shape[0]
-    vard = p * (1.0 - p)
+    theta0 = finite_pop_estimand(draw, estimand, p, x=x)
     if estimand == "sate":
-        theta0 = np.array([draw.tau.mean()])
         pi_phi = (draw.tau - theta0[0])[:, None]
         pi_a = draw.ylevel(p)[:, None]
         return pi_phi, pi_a, theta0
     if estimand == "cate":
-        gram = x.T @ x / n
-        theta0 = np.linalg.solve(gram, x.T @ draw.tau / n)
-        resid = draw.tau - x @ theta0
-        pi_phi = (resid[:, None] * x) @ np.linalg.inv(gram).T
-        pi_a = (draw.ylevel(p)[:, None] * x) @ np.linalg.inv(gram).T
+        inv = np.linalg.inv(x.T @ x / n)
+        pi_phi = ((draw.tau - x @ theta0)[:, None] * x) @ inv.T
+        pi_a = (draw.ylevel(p)[:, None] * x) @ inv.T
         return pi_phi, pi_a, theta0
-    if estimand in ("late", "clate"):
-        comp = (draw.d1 - draw.d0).astype(np.float64)
-        t1 = np.where(draw.d1 == 1, draw.y1, draw.y0)
-        t0 = np.where(draw.d0 == 1, draw.y1, draw.y0)
-        tlevel = (1.0 - p) * t1 + p * t0
-        dlevel = (1.0 - p) * draw.d1 + p * draw.d0
-        if estimand == "late":
-            ec = comp.mean()
-            theta0 = np.array([(comp * draw.tau).mean() / ec])
-            pi_phi = (comp * (draw.tau - theta0[0]))[:, None] / ec
-            pi_a = (tlevel - dlevel * theta0[0])[:, None] / ec
-            return pi_phi, pi_a, theta0
-        gram = (x * comp[:, None]).T @ x / n
-        theta0 = np.linalg.solve(gram, (x * comp[:, None]).T @ draw.tau / n)
-        inv = np.linalg.inv(gram)
-        pi_phi = ((comp * (draw.tau - x @ theta0))[:, None] * x) @ inv.T
-        pi_a = ((tlevel - dlevel * (x @ theta0))[:, None] * x) @ inv.T
+    comp = (draw.d1 - draw.d0).astype(np.float64)
+    t1 = np.where(draw.d1 == 1, draw.y1, draw.y0)
+    t0 = np.where(draw.d0 == 1, draw.y1, draw.y0)
+    tlevel = (1.0 - p) * t1 + p * t0
+    dlevel = (1.0 - p) * draw.d1 + p * draw.d0
+    if estimand == "late":
+        ec = comp.mean()
+        pi_phi = (comp * (draw.tau - theta0[0]))[:, None] / ec
+        pi_a = (tlevel - dlevel * theta0[0])[:, None] / ec
         return pi_phi, pi_a, theta0
-    raise ConfigError(f"unknown estimand {estimand!r}")
+    inv = np.linalg.inv((x * comp[:, None]).T @ x / n)
+    pi_phi = ((comp * (draw.tau - x @ theta0))[:, None] * x) @ inv.T
+    pi_a = ((tlevel - dlevel * (x @ theta0))[:, None] * x) @ inv.T
+    return pi_phi, pi_a, theta0
 
 
 def _locality_order(psi):
@@ -285,11 +279,6 @@ def _locality_order(psi):
     return np.argsort(key, kind="stable")
 
 
-def _cov_n(a):
-    c = a - a.mean(axis=0)
-    return c.T @ c / a.shape[0]
-
-
 def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=(),
                          x_cols=None, psi_weights=None, n_oracle=1_000_000, rng=0):
     """Plug-in limiting-distribution parameters on a large synthetic sample.
@@ -299,11 +288,7 @@ def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=()
     for paired units i, j with psi_i ~ psi_j, E[(v_i - v_j)(v_i - v_j)']/2
     estimates E[Var(v | psi)].
     """
-    big = DgpSpec(
-        model=dgp.model, dim_r=dgp.dim_r, n=int(n_oracle) + (int(n_oracle) % 2),
-        p=dgp.p, covariance=dgp.covariance, resid_var=dgp.resid_var,
-        resid_corr=dgp.resid_corr, compliance=dgp.compliance,
-    )
+    big = replace(dgp, n=int(n_oracle) + (int(n_oracle) % 2))
     draw = generate_dgp(big, rng)
     p = dgp.p
     vard = p * (1.0 - p)
@@ -314,7 +299,7 @@ def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=()
     h = draw.r[:, list(h_cols)] if h_cols else np.zeros((big.n, 0))
     w = draw.r[:, list(w_cols)] if w_cols else np.zeros((big.n, 0))
 
-    out = {"theta0": theta0, "V_phi": _cov_n(pi_phi)}
+    out = {"theta0": theta0, "V_phi": cov_n(pi_phi)}
     if psi_cols:
         psi = draw.r[:, list(psi_cols)]
         if psi_weights is not None:
@@ -327,11 +312,7 @@ def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=()
             db = b[pairs[:, 0]] - b[pairs[:, 1]]
             return da.T @ db / (2.0 * pairs.shape[0])
     else:
-
-        def cond_cross(a, b):
-            ac = a - a.mean(axis=0)
-            bc = b - b.mean(axis=0)
-            return ac.T @ bc / a.shape[0]
+        cond_cross = cov_n
 
     def partial_coef(covs):
         if covs.shape[1] == 0:
@@ -348,12 +329,6 @@ def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=()
     out["V_adj"] = cond_cross(resid_w, resid_w) / vard
     out["var_zh"] = cond_cross(h, h) / vard if h.shape[1] else None
     return out
-
-
-def _psd_root(mat):
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    evals, evecs = np.linalg.eigh((mat + mat.T) / 2.0)
-    return evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
 
 
 def oracle_limit_sampler(v_theta, gamma0, var_zh, region, draws, rng,
@@ -375,8 +350,8 @@ def oracle_limit_sampler(v_theta, gamma0, var_zh, region, draws, rng,
     if region is None:
         region = FullSpaceRegion()
     bound = region.population(var_zh)
-    root_z = _psd_root(var_zh)
-    root_v = _psd_root(v_theta)
+    root_z = psd_root(var_zh)
+    root_v = psd_root(v_theta)
 
     accepted = []
     got = 0
@@ -384,7 +359,7 @@ def oracle_limit_sampler(v_theta, gamma0, var_zh, region, draws, rng,
     batch = max(4 * int(draws), 65536)
     while got < draws:
         z = gen.standard_normal((batch, d_h)) @ root_z.T
-        pens = np.asarray(bound.penalty_stats(z))
+        pens = np.asarray(bound.penalty(z))
         keep = z[pens <= bound.threshold]
         accepted.append(keep)
         got += keep.shape[0]

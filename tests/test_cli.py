@@ -149,6 +149,12 @@ def test_calibrate_writes_threshold(workspace):
     doc = json.loads(out.read_text())
     assert doc["shape"] == "ball" or doc["shape"] == "polar"
     assert doc["eps"] > 0
+    # a spec without a region has no threshold to calibrate
+    del spec["region"]
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["calibrate", "--spec", str(spec_path), "--data", str(cov),
+               "--out", str(out), "--alpha", "0.2", "--draws", "1000"])
+    assert rc == 2
 
 
 def test_bundled_benchmark_spec_parses():
@@ -277,3 +283,27 @@ def test_estimate_rejects_duplicate_outcome_ids(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "duplicate id 'u7'" in err and "rows 8 and 21" in err
+
+
+@pytest.mark.parametrize("text,rc,message", [
+    # a blank line is skipped, as in the covariate file
+    ("id,y\nu0,0.5\n\n" + "".join(f"u{i},{i}.5\n" for i in range(1, 20)), 0, None),
+    ("id,y,d\nu0,0.5\n" + "".join(f"u{i},{i}.5,1\n" for i in range(1, 20)), 2,
+     "outcomes row 1 has 2 fields, expected 3"),
+    ("id,y\n" + "".join(f"u{i},{i}.5\n" for i in range(19)) + "u19\n", 2,
+     "outcomes row 20 has 1 fields, expected 2"),
+], ids=["blank-row", "missing-d", "missing-y"])
+def test_estimate_outcome_rows(tmp_path, capsys, text, rc, message):
+    cov, spec_path = _id_workspace(tmp_path, [f"u{i}" for i in range(20)])
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(out)]) == 0
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text(text)
+    capsys.readouterr()
+    got = main(["estimate", "--manifest", str(out) + ".manifest.json", "--data", str(cov),
+                "--outcomes", str(outcomes), "--out", str(tmp_path / "report.json")])
+    assert got == rc
+    if message is not None:
+        assert message in capsys.readouterr().err
+

@@ -25,7 +25,11 @@ from finestrat import (
     rerandomize,
     within_tuple_demean,
 )
-from finestrat.randomize import assignment_matrix_from_treated, treated_units_batch
+from finestrat.randomize import (
+    assignment_matrix_from_treated,
+    draw_stratified,
+    treated_units_batch,
+)
 from finestrat.rerandomize import _batch_penalties
 
 
@@ -98,6 +102,11 @@ def test_mahalanobis_chi2_calibration_quick():
                             RngSpec(3).generator(), reps)
     emp = np.mean(pens <= chi2_threshold(5, 0.8))
     assert abs(emp - 0.8) < 0.02
+    # the statistic is the bound region's penalty of its raw imbalance
+    bound = MahalanobisRegion(alpha=0.8).bind(h, part, 0.5)
+    for s in range(3):
+        stat = mahalanobis_stat(_frame(draw_stratified(part, RngSpec(4, s)).d, h=h), part)
+        assert stat.value == pytest.approx(bound.penalty(stat.raw[None])[0], rel=1e-12)
 
 
 # -- chi-square thresholds, against series/bisection oracles ----------------
@@ -336,7 +345,7 @@ def test_gmm_feasible_surrogate_balances_sufficient_statistics():
     region = GmmRegion(score=score, base=PolarRegion.ball(2, 50.0),
                        beta_init=np.array([0.0, 1.0]), feasible=True)
     bound = region.bind(h, part, 0.5)
-    surr = bound.stats_matrix
+    surr = bound.stats
     # column spans: (x - const) and (const - (x - const)^2)
     np.testing.assert_allclose(surr[:, 0] - surr[:, 0].mean(),
                                h[:, 0] - h[:, 0].mean(), atol=1e-8)
@@ -396,6 +405,9 @@ def test_calibrate_threshold_hits_target_rate():
     pens = _batch_penalties(region, part, h, RngSpec(23).generator(), 4000)
     emp = np.mean(pens <= region.eps)
     assert abs(emp - 0.2) < 0.03
+    # a region without a threshold names its shape
+    with pytest.raises(ConfigError, match="region 'none' has no threshold"):
+        calibrate_threshold(FullSpaceRegion(), part, h, alpha=0.2, rng=RngSpec(22), draws=10)
 
 
 @pytest.mark.parametrize("k,l", [(3, 1), (4, 2)])
@@ -418,13 +430,13 @@ def _reference_batches(region, part, h, gen, draws):
     """(penalties, treated) per 512-draw batch, from treated_units_batch and
     the gather-sum statistic T = sqrt(n)(mean_1 - mean_0)."""
     bound = region.bind(h, part, part.p)
-    S = h if bound.stats_matrix is None else bound.stats_matrix
+    S = h if bound.stats is None else bound.stats
     n, p = part.n, part.p
     for start in range(0, draws, 512):
         treated = treated_units_batch(part.groups, part.l, gen, min(512, draws - start))
         s1 = S[treated].sum(axis=(1, 2))
         T = np.sqrt(n) * (s1 / (n * p * (1 - p)) - S.sum(axis=0) / (n * (1 - p)))
-        yield bound.penalty_stats(T), treated
+        yield bound.penalty(T), treated
 
 
 def _reference_rerandomize(region, part, h, gen, max_draws):
@@ -552,6 +564,11 @@ def test_gmm_region_exact_path_in_loop():
     assert draw.accepted
     gap = np.sqrt(n) * (h[draw.d == 1].mean(axis=0) - h[draw.d == 0].mean(axis=0))
     assert np.linalg.norm(gap) <= 1.0 + 1e-9
+    # a quadratic base needs the balance covariance: only the feasible path
+    quadratic = GmmRegion(score=region.score, jac=region.jac,
+                          base=MahalanobisRegion(alpha=0.5))
+    with pytest.raises(ConfigError, match="feasible=True"):
+        rerandomize(part, h, quadratic, RngSpec(33), max_draws=10)
 
 
 def test_calibrate_threshold_assignment_based_region():

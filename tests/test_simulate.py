@@ -10,6 +10,7 @@ from finestrat import (
     FullSpaceRegion,
     MahalanobisRegion,
     PolarRegion,
+    PropensityRegion,
     RngSpec,
     finite_pop_estimand,
     generate_dgp,
@@ -106,6 +107,10 @@ def test_oracle_sampler_low_acceptance_error():
     region = PolarRegion.ball(2, 1e-5)
     with pytest.raises(EstimationError, match="acceptance probability"):
         oracle_limit_sampler(np.eye(1), np.ones((2, 1)), np.eye(2), region, 1000, RngSpec(9))
+    # a region that refits a model per draw has no limiting analog
+    with pytest.raises(ConfigError, match="no population analog"):
+        oracle_limit_sampler(np.eye(1), np.ones((2, 1)), np.eye(2),
+                             PropensityRegion(eps2=1.0), 1000, RngSpec(9))
 
 
 # -- plug-in population quantities ---------------------------------------------
