@@ -16,7 +16,8 @@ from .core import (
     load_covariates,
     write_covariates,
 )
-from .stratify import MatchConfig, coarse_strata, match_k_tuples, pair_groups_by_centroid
+from .stratify import (MatchConfig, coarse_strata, design_partition, match_k_tuples,
+                       pair_groups_by_centroid)
 from .randomize import AssignmentDraw, draw_complete, draw_stratified
 from .rerandomize import (
     FullSpaceRegion,

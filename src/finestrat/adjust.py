@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .core import ConfigError, SingularityError, horvitz_thompson_weights
+from .core import ConfigError, SingularityError, cov_n, horvitz_thompson_weights
 from .gmm import solve_gmm
 from .rerandomize import within_tuple_demean
 
@@ -32,15 +32,6 @@ class AdjustmentFit:
     cond: float
     w: np.ndarray  # adjustment covariates actually used
     iterations: int = 1
-
-
-def _cov_within_arm(a, b, mask):
-    """Cov_n with 1/n_d normalization and arm-conditional means."""
-    a_d = a[mask]
-    b_d = b[mask]
-    ac = a_d - a_d.mean(axis=0)
-    bc = b_d - b_d.mean(axis=0)
-    return ac.T @ bc / a_d.shape[0]
 
 
 def _solve_gram(gram, rhs, names):
@@ -131,8 +122,8 @@ def _refit_with_influence(fit, frame, partition, w, u, w_names, iteration):
     wc = within_tuple_demean(w, partition)
     gram = wc.T @ wc / n
     mask1 = frame.d == 1
-    beta1 = vard * _solve_gram(gram, _cov_within_arm(wc, u, mask1), names)
-    beta0 = vard * _solve_gram(gram, _cov_within_arm(wc, u, ~mask1), names)
+    beta1 = vard * _solve_gram(gram, cov_n(wc[mask1], u[mask1]), names)
+    beta0 = vard * _solve_gram(gram, cov_n(wc[~mask1], u[~mask1]), names)
     alpha = beta1 - beta0
     hw = horvitz_thompson_weights(frame)
     theta_adj = fit.theta - (hw[:, None] * w).mean(axis=0) @ alpha

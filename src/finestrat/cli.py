@@ -31,7 +31,7 @@ from .gmm import estimand_by_name
 from .inference import confidence_intervals, variance_components
 from .rerandomize import calibrate_threshold, region_from_dict, rerandomize
 from .simulate import DgpSpec, run_monte_carlo, benchmark_designs
-from .stratify import MatchConfig, match_k_tuples, pair_groups_by_centroid
+from .stratify import MatchConfig, design_partition
 
 _DESIGN_KEYS = {"roles", "k", "l", "match", "region", "estimand", "alpha",
                 "seed", "max_draws"}
@@ -64,47 +64,29 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _build_partition(spec, table, seed):
-    k = int(spec["k"])
-    l = int(spec["l"])
-    match = spec.get("match", {})
-    _check_keys(match, _MATCH_KEYS, "match block")
-    if table.d_psi == 0:
-        n = table.n
-        if n % k != 0:
-            raise ConfigError(f"n={n} not divisible by k={k}")
-        m = n * l / k
-        part = GroupPartition(groups=np.arange(n)[None, :], k=n, l=int(round(m)))
-        return part, None
-    weights = match.get("weights")
-    method = match.get("method", "sorted-1d" if table.d_psi == 1 else "greedy-nn")
-    cfg = MatchConfig(k=k, l=l,
-                      psi_weights=None if weights is None else np.asarray(weights, dtype=float),
-                      method=method)
-    part = match_k_tuples(table.psi, cfg, RngSpec(seed, 0))
-    work = table.psi if weights is None else table.psi * np.asarray(weights, dtype=float)
-    if min(l, k - l) < 2:
-        if part.n_groups % 2 == 0:
-            part = pair_groups_by_centroid(part, work)
-        else:
-            print(
-                f"warning: odd number of groups ({part.n_groups}); strata "
-                "cannot be collapsed, so variance estimation will fail for "
-                "this design", file=sys.stderr,
-            )
-    return part, cfg
-
-
-def cmd_assign(args):
+def _read_design(args):
+    """Spec, seed, covariates, partition and region of a design command.
+    Matching uses stream 0 of the seed; draws use the later streams."""
     spec = _load_json(args.spec, "design spec")
     _check_keys(spec, _DESIGN_KEYS, "design spec")
     for key in ("roles", "k", "l"):
         if key not in spec:
             raise ConfigError(f"design spec is missing required key '{key}'")
+    match = spec.get("match", {})
+    _check_keys(match, _MATCH_KEYS, "match block")
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
     table = load_covariates(args.data, spec["roles"])
-    partition, _ = _build_partition(spec, table, seed)
+    cfg = MatchConfig(
+        k=int(spec["k"]), l=int(spec["l"]), psi_weights=match.get("weights"),
+        method=match.get("method", "sorted-1d" if table.d_psi == 1 else "greedy-nn"),
+    )
+    partition = design_partition(table.psi, cfg, RngSpec(seed, 0))
     region = region_from_dict(spec.get("region"))
+    return spec, seed, table, partition, region
+
+
+def cmd_assign(args):
+    spec, seed, table, partition, region = _read_design(args)
     max_draws = int(spec.get("max_draws", 10000))
     result = rerandomize(partition, table.h, region, RngSpec(seed, 1),
                          max_draws=max_draws, keep_trace=args.trace is not None)
@@ -261,12 +243,7 @@ def cmd_simulate(args):
 
 
 def cmd_calibrate(args):
-    spec = _load_json(args.spec, "design spec")
-    _check_keys(spec, _DESIGN_KEYS, "design spec")
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    table = load_covariates(args.data, spec["roles"])
-    partition, _ = _build_partition(spec, table, seed)
-    region = region_from_dict(spec.get("region"))
+    _, seed, table, partition, region = _read_design(args)
     calibrated = calibrate_threshold(region, partition, table.h, args.alpha,
                                      RngSpec(seed, 2), draws=args.draws)
     doc = calibrated.to_dict()

@@ -397,11 +397,10 @@ class GmmRegion(AcceptanceRegion):
 
         def penalty(d):
             try:
-                stat = gmm_imbalance_arrays(h, d, self.score, jac=self.jac,
-                                            beta_init=pooled)
+                gap, _, _ = _arm_gap(h, d, self.score, self.jac, pooled)
             except EstimationError:
                 return np.inf
-            return float(base.penalty(stat.value[None])[0])
+            return float(base.penalty(gap[None])[0])
 
         return Bound(penalty, base.threshold)
 
@@ -526,21 +525,12 @@ def _pooled_moment_fit(x, score, jac, beta_init, dim_beta=None):
     return beta, np.atleast_2d(np.asarray(G, dtype=np.float64))
 
 
-def gmm_imbalance_arrays(x, d, score, jac=None, beta_init=None, dim_beta=None):
-    """Array-level version of gmm_imbalance (no frame required)."""
-    x = np.asarray(x, dtype=np.float64)
-    d = np.asarray(d)
-    n = x.shape[0]
-    pooled, G = _pooled_moment_fit(x, score, jac, beta_init, dim_beta)
-    beta1, _ = _moment_root(x[d == 1], score, jac, pooled, "treated")
-    beta0, _ = _moment_root(x[d == 0], score, jac, pooled, "control")
-    value = np.sqrt(n) * (beta1 - beta0)
-    surrogate = np.atleast_2d(score(x, pooled))
-    return ImbalanceStat(
-        kind="gmm", value=value, raw=value,
-        extra={"beta1": beta1, "beta0": beta0, "beta_pooled": pooled,
-               "jacobian": G, "surrogate": surrogate},
-    )
+def _arm_gap(x, d, score, jac, start):
+    """Within-arm moment fits started at `start` (the pooled root) and their
+    scaled gap sqrt(n)(beta_1 - beta_0)."""
+    beta1, _ = _moment_root(x[d == 1], score, jac, start, "treated")
+    beta0, _ = _moment_root(x[d == 0], score, jac, start, "control")
+    return np.sqrt(x.shape[0]) * (beta1 - beta0), beta1, beta0
 
 
 def gmm_imbalance(frame, score, jac=None, x=None, beta_init=None, dim_beta=None):
@@ -548,10 +538,15 @@ def gmm_imbalance(frame, score, jac=None, x=None, beta_init=None, dim_beta=None)
     exactly identified moment model m(x, beta). The pooled-fit score values
     (a feasible linear surrogate for the same criterion) and the pooled
     Jacobian ride along in ``extra``."""
-    if x is None:
-        x = frame.covariates.h
-    return gmm_imbalance_arrays(x, frame.d, score, jac=jac, beta_init=beta_init,
-                                dim_beta=dim_beta)
+    x = np.asarray(frame.covariates.h if x is None else x, dtype=np.float64)
+    pooled, G = _pooled_moment_fit(x, score, jac, beta_init, dim_beta)
+    value, beta1, beta0 = _arm_gap(x, frame.d, score, jac, pooled)
+    surrogate = np.atleast_2d(score(x, pooled))
+    return ImbalanceStat(
+        kind="gmm", value=value, raw=value,
+        extra={"beta1": beta1, "beta0": beta0, "beta_pooled": pooled,
+               "jacobian": G, "surrogate": surrogate},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -564,14 +559,23 @@ def calibrate_threshold(region, partition, h, alpha, rng, draws=2000):
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     gen = as_generator(rng)
-    h = np.asarray(h, dtype=np.float64)
     pens = _batch_penalties(region.with_threshold(np.inf), partition, h, gen, draws)
     return region.with_threshold(float(np.quantile(pens, alpha)))
 
 
+def _bind(region, partition, h):
+    """Bind a region to balance covariates h (n x d_h, or an n-vector)."""
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim == 1:
+        h = h[:, None]
+    if h.shape[0] != partition.n:
+        raise ConfigError("balance covariates and partition disagree on n")
+    return region.bind(h, partition, partition.p)
+
+
 def _batch_penalties(region, partition, h, gen, draws):
     """Penalties of `draws` fresh stratified draws."""
-    bound = region.bind(h, partition, partition.p)
+    bound = _bind(region, partition, h)
     pens = np.empty(draws)
     done = 0
     for batch, _ in _scored_batches(bound, partition, gen, draws):
@@ -641,16 +645,11 @@ def rerandomize(partition, h, region, rng, max_draws=100_000, keep_trace=False):
     if max_draws < 1:
         raise ConfigError("max_draws must be >= 1")
     gen = as_generator(rng)
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim == 1:
-        h = h[:, None]
-    if h.shape[0] != partition.n:
-        raise ConfigError("balance covariates and partition disagree on n")
     if region is None:
         region = FullSpaceRegion()
 
     n = partition.n
-    bound = region.bind(h, partition, partition.p)
+    bound = _bind(region, partition, h)
     trace = [] if keep_trace else None
     best_pen = np.inf
     best_treated = None

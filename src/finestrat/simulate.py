@@ -24,7 +24,6 @@ from .core import (
     CovariateTable,
     EstimationError,
     ExperimentFrame,
-    GroupPartition,
     RngSpec,
     as_generator,
     cov_n,
@@ -34,7 +33,7 @@ from .gmm import estimand_by_name
 from .inference import confidence_intervals, variance_components
 from .randomize import draw_complete, draw_stratified
 from .rerandomize import AcceptanceRegion, FullSpaceRegion, MahalanobisRegion, rerandomize
-from .stratify import MatchConfig, match_k_tuples, pair_groups_by_centroid
+from .stratify import MatchConfig, design_partition
 
 
 @dataclass(frozen=True)
@@ -184,21 +183,12 @@ def assign_design(design, r, p, rng):
     gen = as_generator(rng)
     n = r.shape[0]
     if design.kind == "complete":
-        m = n * p
-        if abs(m - round(m)) > 1e-9:
-            raise ConfigError(f"n*p = {m} not an integer")
-        partition = GroupPartition(groups=np.arange(n)[None, :], k=n, l=int(round(m)))
-        return partition, draw_complete(n, p, gen)
-    psi = r[:, list(design.psi_cols)]
-    cfg = MatchConfig(
-        k=design.k, l=design.l,
-        psi_weights=None if design.psi_weights is None else np.asarray(design.psi_weights),
-        method=design.match_method,
-    )
-    partition = match_k_tuples(psi, cfg, gen)
-    if min(design.l, design.k - design.l) < 2:
-        work = psi if design.psi_weights is None else psi * np.asarray(design.psi_weights)
-        partition = pair_groups_by_centroid(partition, work)
+        draw = draw_complete(n, p, gen)
+        cfg = MatchConfig(k=n, l=int(draw.d.sum()))
+        return design_partition(r[:, :0], cfg, gen), draw
+    cfg = MatchConfig(k=design.k, l=design.l, psi_weights=design.psi_weights,
+                      method=design.match_method)
+    partition = design_partition(r[:, list(design.psi_cols)], cfg, gen)
     if design.kind == "stratified":
         return partition, draw_stratified(partition, gen)
     h = r[:, list(design.h_cols)]
@@ -462,6 +452,8 @@ def _worker(args):
         try:
             results.append((rep, _one_replicate(
                 dgp, designs, estimand, x_cols, contrast, ci_alpha, seed, rep, theta0)))
+        except ConfigError:
+            raise  # a design error repeats in every replicate
         except Exception as exc:  # noqa: BLE001 - failure policy counts and reports
             results.append((rep, f"{type(exc).__name__}: {exc}"))
     return results
@@ -511,7 +503,7 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     records = [r for _, r in results if isinstance(r, dict)]
     failures = [(rep, r) for rep, r in results if not isinstance(r, dict)]
     if len(failures) > max_failure_share * replicates:
-        raise RuntimeError(
+        raise EstimationError(
             f"{len(failures)} of {replicates} replicates failed "
             f"(first: rep {failures[0][0]}: {failures[0][1]})"
         )

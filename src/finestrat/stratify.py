@@ -37,8 +37,14 @@ class MatchConfig:
 
 
 def _pairwise_sq_dists(points):
+    """(|a|^2 + |b|^2) - 2 a.b for all pairs, overwriting the Gram matrix
+    in place by blocks of 256 rows so that one n x n matrix is held."""
     sq = np.einsum("id,id->i", points, points)
-    d = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    d = points @ points.T
+    for start in range(0, d.shape[0], 256):
+        rows = d[start:start + 256]
+        rows *= 2.0  # exact, so rows ends as (sq_i + sq_j) - (2 a.b)
+        np.subtract(sq[start:start + 256, None] + sq[None, :], rows, out=rows)
     np.maximum(d, 0.0, out=d)
     return d
 
@@ -171,3 +177,28 @@ def pair_groups_by_centroid(partition, psi):
         np.einsum("gd,gd->", centroids - centroids[rho], centroids - centroids[rho])
     ) / partition.n
     return replace(partition, pairing=rho, pairing_stat=stat)
+
+
+def design_partition(psi, cfg, rng=None):
+    """The partition a design assigns within: one group of all n units when
+    psi has no columns, else groups of k matched on (weighted) psi. Groups
+    with a single treated or a single control unit need collapsed strata for
+    their variance bounds, so they are also paired on their centroids; an
+    odd group count is refused before any matching or draw."""
+    psi = np.asarray(psi, dtype=np.float64)
+    if psi.ndim == 1:
+        psi = psi[:, None]
+    n, k, l = psi.shape[0], cfg.k, cfg.l
+    if psi.shape[1] == 0:
+        if n % k != 0:
+            raise ConfigError(f"n={n} not divisible by k={k}")
+        return GroupPartition(groups=np.arange(n)[None, :], k=n, l=n * l // k)
+    collapse = min(l, k - l) < 2
+    if collapse and n % (2 * k) == k:
+        raise ConfigError(f"n={n} in groups of k={k} gives an odd number of groups "
+                          f"({n // k}), which cannot be paired into collapsed strata")
+    partition = match_k_tuples(psi, cfg, rng)
+    if collapse:
+        work = psi if cfg.psi_weights is None else psi * cfg.psi_weights
+        partition = pair_groups_by_centroid(partition, work)
+    return partition

@@ -137,7 +137,7 @@ def test_simulate_smoke_and_seed_stability(tmp_path):
     assert {r["design"] for r in rows} == {"C", "SR"}
 
 
-def test_calibrate_writes_threshold(workspace):
+def test_calibrate_writes_threshold(workspace, capsys):
     tmp_path, cov, spec_path, _ = workspace
     spec = json.loads(spec_path.read_text())
     spec["region"] = {"shape": "ball", "dim": 2, "eps": 1.0}
@@ -155,6 +155,71 @@ def test_calibrate_writes_threshold(workspace):
     rc = main(["calibrate", "--spec", str(spec_path), "--data", str(cov),
                "--out", str(out), "--alpha", "0.2", "--draws", "1000"])
     assert rc == 2
+    # the required keys are checked as in assign
+    del spec["k"]
+    spec_path.write_text(json.dumps(spec))
+    capsys.readouterr()
+    rc = main(["calibrate", "--spec", str(spec_path), "--data", str(cov),
+               "--out", str(out), "--alpha", "0.2", "--draws", "1000"])
+    assert rc == 2
+    assert "missing required key 'k'" in capsys.readouterr().err
+
+
+def test_odd_group_count_exit_2_without_output(workspace, capsys):
+    # 100 units in groups of 4 with one treated: 25 groups cannot be paired
+    tmp_path, cov, spec_path, _ = workspace
+    spec = json.loads(spec_path.read_text())
+    spec["k"] = 4
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out.csv"
+    for cmd in (["assign"], ["calibrate", "--alpha", "0.2"]):
+        rc = main(cmd + ["--spec", str(spec_path), "--data", str(cov), "--out", str(out)])
+        assert rc == 2
+        assert "odd number of groups (25)" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out.csv*"))
+
+
+def test_assign_estimate_without_psi(workspace):
+    # no psi role: complete randomization, one group of all units
+    tmp_path, cov, spec_path, _ = workspace
+    spec = json.loads(spec_path.read_text())
+    del spec["roles"]["baseline"]
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(out)]) == 0
+    with open(out) as fh:
+        assign = list(csv.DictReader(fh))
+    assert {r["group"] for r in assign} == {"0"}
+    assert sum(int(r["d"]) for r in assign) == 50
+    outcomes = tmp_path / "y.csv"
+    with open(outcomes, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "y"])
+        for r in assign:
+            writer.writerow([r["id"], 3.25 if r["d"] == "1" else 1.0])
+    report_path = tmp_path / "report.json"
+    assert main(["estimate", "--manifest", str(out) + ".manifest.json", "--data", str(cov),
+                 "--outcomes", str(outcomes), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["theta_hat"][0] == pytest.approx(2.25)
+    assert report["flags"]["collapsed_strata"] is False
+
+
+def test_simulate_failures_exit_1_with_message(tmp_path, capsys):
+    # four units cannot identify five adjustment coefficients: most
+    # replicates fail, and the run reports it instead of a traceback
+    spec = {"model": 2, "dim_r": 5, "n": 4, "replicates": 100, "designs": ["C"]}
+    spec_path = tmp_path / "sim.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "of 100 replicates failed" in err
+    # an odd group count is a design error: exit 2 at the first replicate
+    spec.update(n=6, designs=["S"])
+    spec_path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "odd number of groups (3)" in capsys.readouterr().err
 
 
 def test_bundled_benchmark_spec_parses():

@@ -410,6 +410,26 @@ def test_calibrate_threshold_hits_target_rate():
         calibrate_threshold(FullSpaceRegion(), part, h, alpha=0.2, rng=RngSpec(22), draws=10)
 
 
+def test_calibrate_threshold_checks_h_like_rerandomize():
+    n = 100
+    h = np.random.default_rng(24).standard_normal(n)
+    part = _pairs(n)
+    region = MahalanobisRegion(alpha=0.2)
+    # a 1-d h is one balance column, as in rerandomize
+    flat = calibrate_threshold(region, part, h, alpha=0.2, rng=RngSpec(25), draws=600)
+    column = calibrate_threshold(region, part, h[:, None], alpha=0.2, rng=RngSpec(25),
+                                 draws=600)
+    assert flat.eps2 == column.eps2
+    rerandomize(part, h, region, RngSpec(25), max_draws=10)
+    # rows beyond the partition are refused, not silently ignored
+    tall = np.concatenate([h, h[:50]])[:, None]
+    for call in (lambda: calibrate_threshold(region, part, tall, alpha=0.2,
+                                             rng=RngSpec(25), draws=10),
+                 lambda: rerandomize(part, tall, region, RngSpec(25), max_draws=10)):
+        with pytest.raises(ConfigError, match="disagree on n"):
+            call()
+
+
 @pytest.mark.parametrize("k,l", [(3, 1), (4, 2)])
 def test_calibrate_threshold_hits_target_rate_larger_groups(k, l):
     # groups other than matched pairs score draws by the gather-sum path
@@ -569,6 +589,32 @@ def test_gmm_region_exact_path_in_loop():
                           base=MahalanobisRegion(alpha=0.5))
     with pytest.raises(ConfigError, match="feasible=True"):
         rerandomize(part, h, quadratic, RngSpec(33), max_draws=10)
+
+
+def test_gmm_region_exact_penalty_reuses_pooled_fit():
+    # bind fits the pooled model once; each candidate draw then refits only
+    # the two arms, so no score call sees all n rows
+    def score(mat, beta):
+        calls.append(mat.shape[0])
+        x = mat[:, 0]
+        return np.column_stack([x - beta[0], beta[1] - (x - beta[0]) ** 2])
+
+    calls = []
+    n = 60
+    gen = np.random.default_rng(37)
+    h = gen.standard_normal((n, 1))
+    part = _pairs(n)
+    base = PolarRegion.ball(2, 3.0)
+    region = GmmRegion(score=score, base=base, beta_init=np.array([0.0, 1.0]))
+    bound = region.bind(h, part, 0.5)
+    assert n in calls
+    draws = assignment_matrix_from_treated(treated_units_batch(part.groups, 1, gen, 4), n)
+    for d in draws:
+        stat = gmm_imbalance(_frame(d, h=h), score, beta_init=np.array([0.0, 1.0]))
+        del calls[:]
+        pen = bound.penalty(d)
+        assert calls and n not in calls
+        assert pen == base.penalty(stat.value)[0]
 
 
 def test_calibrate_threshold_assignment_based_region():

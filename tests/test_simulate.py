@@ -239,6 +239,26 @@ def test_run_monte_carlo_failure_policy():
         run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1))
 
 
+def test_run_monte_carlo_odd_group_count_raises_at_once(monkeypatch):
+    # 302 units give 151 matched pairs, which cannot be paired into collapsed
+    # strata: a design error, raised at the first replicate, not a failure
+    from finestrat import simulate
+
+    calls = []
+    assign = simulate.assign_design
+
+    def counted(*args):
+        calls.append(1)
+        return assign(*args)
+
+    monkeypatch.setattr(simulate, "assign_design", counted)
+    dgp = DgpSpec(model=1, dim_r=2, n=302)
+    with pytest.raises(ConfigError, match=r"n=302 .*odd number of groups \(151\)"):
+        run_monte_carlo(benchmark_designs(1, 2)[1:], dgp, replicates=100, seed=3,
+                        theta0=np.zeros(1))
+    assert len(calls) == 1
+
+
 def test_truncation_breaks_normality_and_adjustment_restores_it():
     # one influential balance covariate, almost no residual noise, and an
     # aggressive acceptance rule: the unadjusted error is essentially a

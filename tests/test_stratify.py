@@ -6,6 +6,7 @@ from finestrat import (
     MatchConfig,
     RngSpec,
     coarse_strata,
+    design_partition,
     match_k_tuples,
     pair_groups_by_centroid,
 )
@@ -177,3 +178,75 @@ def test_centroid_pairing_size_guard_counts_centroids(monkeypatch):
     monkeypatch.setattr("finestrat.stratify._pairwise_sq_dists", no_matrix)
     with pytest.raises(ConfigError, match=rf"of {G} group centroids .* {G * G * 8} bytes"):
         pair_groups_by_centroid(part, psi)
+
+
+def test_pairwise_sq_dists_blocked_is_the_one_line_formula():
+    # sizes below, just above and well past one 256-row block
+    for n, d in ((1, 1), (255, 2), (257, 3), (601, 5)):
+        points = np.random.default_rng(n).standard_normal((n, d)) * 3.0 + 1.0
+        sq = np.einsum("id,id->i", points, points)
+        ref = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
+        np.testing.assert_array_equal(_pairwise_sq_dists(points), ref)
+
+
+def test_pairwise_sq_dists_holds_one_matrix():
+    import tracemalloc
+
+    n = 2000
+    points = np.random.default_rng(3).standard_normal((n, 3))
+    tracemalloc.start()
+    try:
+        _pairwise_sq_dists(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
+
+
+def _design_reference(psi, cfg, rng):
+    part = match_k_tuples(psi, cfg, rng)
+    work = psi if cfg.psi_weights is None else psi * cfg.psi_weights
+    return pair_groups_by_centroid(part, work)
+
+
+@pytest.mark.parametrize("method,d", [("greedy-nn", 3), ("sorted-1d", 1),
+                                      ("random-within-cell", 2)])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_design_partition_is_match_then_pair(method, d, weighted):
+    gen = np.random.default_rng(8)
+    psi = gen.standard_normal((120, d))
+    if method == "random-within-cell":
+        psi = np.repeat(gen.integers(0, 3, size=(30, d)).astype(float), 4, axis=0)
+    weights = np.linspace(1.0, 2.0, d) if weighted else None
+    cfg = MatchConfig(2, 1, psi_weights=weights, method=method)
+    got = design_partition(psi, cfg, RngSpec(6))
+    ref = _design_reference(psi, cfg, RngSpec(6))
+    for attr in ("groups", "pairing"):
+        np.testing.assert_array_equal(getattr(got, attr), getattr(ref, attr))
+    assert (got.homogeneity, got.pairing_stat) == (ref.homogeneity, ref.pairing_stat)
+    # groups with two or more units per arm need no pairing
+    cfg = MatchConfig(4, 2, psi_weights=weights, method=method)
+    got = design_partition(psi, cfg, RngSpec(6))
+    np.testing.assert_array_equal(got.groups, match_k_tuples(psi, cfg, RngSpec(6)).groups)
+    assert got.pairing is None
+
+
+def test_design_partition_without_psi_is_one_group():
+    part = design_partition(np.zeros((12, 0)), MatchConfig(4, 1), RngSpec(0))
+    np.testing.assert_array_equal(part.groups, np.arange(12)[None, :])
+    assert (part.k, part.l, part.pairing) == (12, 3, None)
+    with pytest.raises(ConfigError, match="n=10 not divisible by k=4"):
+        design_partition(np.zeros((10, 0)), MatchConfig(4, 1))
+
+
+def test_design_partition_refuses_odd_group_count_before_matching(monkeypatch):
+    def no_match(*args):
+        raise AssertionError("matched before the group count was checked")
+
+    monkeypatch.setattr("finestrat.stratify.match_k_tuples", no_match)
+    with pytest.raises(ConfigError, match=r"n=100 .*k=4 .*odd number of groups \(25\)"):
+        design_partition(np.arange(100.0), MatchConfig(4, 1, method="sorted-1d"))
+    with pytest.raises(ConfigError, match=r"odd number of groups \(25\)"):
+        design_partition(np.arange(100.0), MatchConfig(4, 3, method="sorted-1d"))
+    with pytest.raises(AssertionError):  # two treated and two controls: no pairing
+        design_partition(np.arange(100.0), MatchConfig(4, 2, method="sorted-1d"))
