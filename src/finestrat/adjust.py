@@ -34,22 +34,26 @@ class AdjustmentFit:
     iterations: int = 1
 
 
-def _solve_gram(gram, rhs, names):
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        # column-pivoted QR identifies which columns are (near-)collinear
-        _, r, piv = sla.qr(gram, pivoting=True)
+def _gram_cholesky(gram, cond, names):
+    # A Cholesky factor can exist for a numerically rank-deficient Gram, so
+    # column-pivoted QR decides singularity and names the (near-)collinear
+    # columns. Its test (a diagonal entry at most 1e-10 of the largest) can
+    # only fire when cond >= 1e10, so better-conditioned Grams skip it.
+    bad = []
+    if cond >= 1e9:
+        r, piv = sla.qr(gram, pivoting=True, mode="r")
         diag = np.abs(np.diag(r))
-        tol = diag.max() * 1e-10 if diag.size else 0.0
-        bad = [names[piv[j]] for j in range(len(diag)) if diag[j] <= tol]
-        cond = float(np.linalg.cond(gram))
+        bad = [names[piv[j]] for j in np.flatnonzero(diag <= diag.max() * 1e-10)]
+    try:
+        chol = None if bad else np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        chol = None
+    if chol is None:
         raise SingularityError(
             f"adjustment design matrix is singular (condition number {cond:.3e}); "
             f"near-collinear columns: {bad or 'unidentified'}"
-        ) from None
-    z = np.linalg.solve(chol, rhs)
-    return np.linalg.solve(chol.T, z)
+        )
+    return chol
 
 
 def fit_adjustment(fit, frame, partition, w=None, w_names=None):
@@ -122,14 +126,16 @@ def _refit_with_influence(fit, frame, partition, w, u, w_names, iteration):
     wc = within_tuple_demean(w, partition)
     gram = wc.T @ wc / n
     mask1 = frame.d == 1
-    beta1 = vard * _solve_gram(gram, cov_n(wc[mask1], u[mask1]), names)
-    beta0 = vard * _solve_gram(gram, cov_n(wc[~mask1], u[~mask1]), names)
+    cond = float(np.linalg.cond(gram))
+    chol = _gram_cholesky(gram, cond, names)
+    beta1, beta0 = (vard * np.linalg.solve(chol.T, np.linalg.solve(chol, cov_n(wc[m], u[m])))
+                    for m in (mask1, ~mask1))
     alpha = beta1 - beta0
     hw = horvitz_thompson_weights(frame)
     theta_adj = fit.theta - (hw[:, None] * w).mean(axis=0) @ alpha
     return AdjustmentFit(
         alpha=alpha, beta1=beta1, beta0=beta0, theta_adj=theta_adj,
-        gram=gram, cond=float(np.linalg.cond(gram)), w=w, iterations=iteration,
+        gram=gram, cond=cond, w=w, iterations=iteration,
     )
 
 

@@ -14,8 +14,6 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .adjust import two_step_adjust
 from .core import (
@@ -25,7 +23,9 @@ from .core import (
     GroupPartition,
     LoadError,
     RngSpec,
+    check_keys,
     load_covariates,
+    read_csv,
 )
 from .gmm import estimand_by_name
 from .inference import confidence_intervals, variance_components
@@ -33,9 +33,16 @@ from .rerandomize import calibrate_threshold, region_from_dict, rerandomize
 from .simulate import DgpSpec, run_monte_carlo, benchmark_designs
 from .stratify import MatchConfig, design_partition
 
+_DESIGN_REQUIRED = ("roles", "k", "l")
 _DESIGN_KEYS = {"roles", "k", "l", "match", "region", "estimand", "alpha",
                 "seed", "max_draws"}
 _MATCH_KEYS = {"method", "weights"}
+_MANIFEST_REQUIRED = ("covariates_sha256", "spec", "partition", "d")
+_MANIFEST_KEYS = {"version", "covariates_sha256", "spec", "seed", "partition", "d",
+                  "draws_to_accept", "penalty", "accepted"}
+_PARTITION_REQUIRED = ("groups", "k", "l")
+_PARTITION_KEYS = {"groups", "k", "l", "homogeneity", "pairing", "pairing_stat"}
+_SIM_REQUIRED = ("model", "dim_r", "n")
 _SIM_KEYS = {"model", "dim_r", "n", "p", "replicates", "seed", "designs",
              "estimand", "accept_alpha", "threads", "ci_alpha"}
 
@@ -50,12 +57,6 @@ def _load_json(path, what):
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
-def _check_keys(doc, allowed, what):
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
-
-
 def _sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -68,12 +69,9 @@ def _read_design(args):
     """Spec, seed, covariates, partition and region of a design command.
     Matching uses stream 0 of the seed; draws use the later streams."""
     spec = _load_json(args.spec, "design spec")
-    _check_keys(spec, _DESIGN_KEYS, "design spec")
-    for key in ("roles", "k", "l"):
-        if key not in spec:
-            raise ConfigError(f"design spec is missing required key '{key}'")
+    check_keys(spec, _DESIGN_KEYS, "design spec", _DESIGN_REQUIRED)
     match = spec.get("match", {})
-    _check_keys(match, _MATCH_KEYS, "match block")
+    check_keys(match, _MATCH_KEYS, "match block")
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
     table = load_covariates(args.data, spec["roles"])
     cfg = MatchConfig(
@@ -129,50 +127,23 @@ def cmd_assign(args):
 
 
 def _read_outcomes(path, ids):
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise LoadError("outcomes file is empty")
-        header = [c.strip() for c in header]
-        if "id" not in header or "y" not in header:
-            raise LoadError("outcomes file needs 'id' and 'y' columns")
-        idx_id = header.index("id")
-        idx_y = header.index("y")
-        idx_d = header.index("d") if "d" in header else None
-        y_map = {}
-        d_map = {}
-        id_row = {}
-        for r, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) < len(header):
-                raise LoadError(
-                    f"outcomes row {r} has {len(record)} fields, expected {len(header)}")
-            key = record[idx_id].strip()
-            first = id_row.setdefault(key, r)
-            if first != r:
-                raise LoadError(f"duplicate id {key!r} in outcomes at rows {first} and {r}")
-            try:
-                y_map[key] = float(record[idx_y])
-                if idx_d is not None:
-                    d_map[key] = float(record[idx_d])
-            except ValueError:
-                raise LoadError(f"non-numeric outcome at row {r}") from None
-    y = np.empty(len(ids))
-    d_endog = np.empty(len(ids)) if d_map else None
-    for i, uid in enumerate(ids):
-        key = str(uid)
-        if key not in y_map:
-            raise LoadError(f"outcomes file is missing id {key!r}")
-        y[i] = y_map[key]
-        if d_endog is not None:
-            d_endog[i] = d_map[key]
-    return y, d_endog
+    """Outcomes y (and the realized treatment d, when the file has it)
+    aligned to the covariate ids."""
+    data, out_ids = read_csv(path, ["y"], "id", "outcomes", optional=["d"])
+    row_of = {uid: i for i, uid in enumerate(out_ids.tolist())}
+    try:
+        rows = [row_of[str(uid)] for uid in ids]
+    except KeyError as exc:
+        raise LoadError(f"outcomes file is missing id {exc.args[0]!r}") from None
+    return data[rows, 0], (data[rows, 1] if data.shape[1] == 2 else None)
 
 
 def cmd_estimate(args):
     manifest = _load_json(args.manifest, "design manifest")
+    check_keys(manifest, _MANIFEST_KEYS, "design manifest", _MANIFEST_REQUIRED)
+    check_keys(manifest["spec"], _DESIGN_KEYS, "manifest spec", _DESIGN_REQUIRED)
+    check_keys(manifest["partition"], _PARTITION_KEYS, "manifest partition",
+               _PARTITION_REQUIRED)
     digest = _sha256(args.data)
     if digest != manifest["covariates_sha256"]:
         raise ConfigError(
@@ -182,12 +153,11 @@ def cmd_estimate(args):
     spec = manifest["spec"]
     table = load_covariates(args.data, spec["roles"])
     partition = GroupPartition.from_json_dict(manifest["partition"])
-    d = np.asarray(manifest["d"], dtype=np.int8)
     y, d_endog = _read_outcomes(args.outcomes, table.ids)
     estimand = args.estimand or spec.get("estimand", "sate")
     est_spec = estimand_by_name(estimand)
-    p = partition.l / partition.k if partition.k != partition.n else float(d.mean())
-    frame = ExperimentFrame(covariates=table, d=d, p=p, y=y, d_endog=d_endog)
+    frame = ExperimentFrame(covariates=table, d=manifest["d"], p=partition.p, y=y,
+                            d_endog=d_endog)
     fit, adj = two_step_adjust(frame, partition, est_spec, w=table.w,
                                w_names=table.w_names)
     comp = variance_components(frame, partition, adj, fit, spec=est_spec)
@@ -214,7 +184,7 @@ def cmd_estimate(args):
 
 def cmd_simulate(args):
     spec = _load_json(args.spec, "simulation spec")
-    _check_keys(spec, _SIM_KEYS, "simulation spec")
+    check_keys(spec, _SIM_KEYS, "simulation spec", _SIM_REQUIRED)
     replicates = args.replicates or int(spec.get("replicates", 1000))
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
     threads = args.threads or int(spec.get("threads", 1))

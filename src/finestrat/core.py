@@ -11,7 +11,7 @@ per-role views.
 from __future__ import annotations
 
 import csv
-import io
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +44,14 @@ class EstimationError(FinestratError, RuntimeError):
 ROLE_NAMES = ("psi", "h", "w", "x")
 
 
-def _as_matrix(a, n=None, name="array"):
+def _as_matrix(a, n, name):
     if a is None:
-        if n is None:
-            raise ValueError(f"{name}: cannot infer row count for empty role")
         return np.zeros((n, 0), dtype=np.float64)
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2:
-        raise ValueError(f"{name}: expected 2-d array, got shape {a.shape}")
+        raise LoadError(f"{name}: expected 2-d array, got shape {a.shape}")
     return a
 
 
@@ -80,11 +78,11 @@ class CovariateTable:
                 n = arr.shape[0]
                 break
         if n is None:
-            raise ValueError("empty covariate table")
+            raise LoadError("empty covariate table")
         for role in ROLE_NAMES:
             mat = _as_matrix(getattr(self, role), n, role)
             if mat.shape[0] != n:
-                raise ValueError(
+                raise LoadError(
                     f"role '{role}' has {mat.shape[0]} rows, expected {n}"
                 )
             if mat.size and not np.isfinite(mat).all():
@@ -103,7 +101,7 @@ class CovariateTable:
             ids = np.arange(n)
         ids = np.asarray(ids)
         if ids.shape[0] != n:
-            raise ValueError("ids length does not match covariate rows")
+            raise LoadError("ids length does not match covariate rows")
         ids.setflags(write=False)
         object.__setattr__(self, "ids", ids)
 
@@ -131,102 +129,108 @@ class CovariateTable:
         return getattr(self, role + "_names")
 
 
-def _parse_cell(raw, row, col):
+def check_keys(doc, allowed, what, required=()):
+    """Refuse a JSON document that is not an object, lacks a required key or
+    has a key outside ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"{what} is missing required key '{key}'")
+    unknown = set(doc) - set(allowed)
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
+
+
+def _first_bad_cell(cells, rows, columns, what):
+    for row, r in zip(cells, rows):
+        for raw, col in zip(row, columns):
+            try:
+                fault = None if np.isfinite(float(raw)) else "non-finite"
+            except ValueError:
+                fault = "non-numeric"
+            if fault:
+                raise LoadError(f"{fault} value {raw!r} in {what} row {r}, column '{col}'")
+
+
+def read_csv(source, columns, id_col, what, optional=()):
+    """Numeric columns of a header-bearing CSV file (a path or an open text
+    file) under one row policy, as ``(data, ids)``.
+
+    Header names are stripped, and each column read must appear once in the
+    header. Blank rows are skipped. Every other row must have the header's
+    field count, every selected cell must be a finite number, and ids in
+    ``id_col`` (unless None) must be unique; otherwise LoadError names the
+    file kind ``what``, the 1-based row (blank rows counted) and the column.
+    Field counts and ids are checked before cells. ``data`` holds ``columns``
+    and then the ``optional`` columns the header has; other columns are
+    ignored. ``ids`` is None without ``id_col``.
+    """
+    with (nullcontext(source) if hasattr(source, "read")
+          else open(source, "r", newline="", encoding="utf-8")) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise LoadError(f"{what} file is empty: missing header row")
+        header = [c.strip() for c in header]
+        names = [*columns, *(c for c in optional if c in header)]
+        for col in [id_col, *names]:
+            if col is not None and header.count(col) != 1:
+                fault = "repeated" if col in header else "missing"
+                raise LoadError(f"{what} file: {fault} column '{col}' (file has {header})")
+        idx = [header.index(c) for c in names]
+        id_idx = None if id_col is None else header.index(id_col)
+        cells, rows, ids, id_row = [], [], [], {}
+        for r, record in enumerate(reader, start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if len(record) != len(header):
+                raise LoadError(
+                    f"{what} row {r} has {len(record)} fields, expected {len(header)}")
+            if id_idx is not None:
+                uid = record[id_idx].strip()
+                first = id_row.setdefault(uid, r)
+                if first != r:
+                    raise LoadError(f"duplicate id {uid!r} in {what} at rows {first} and {r}")
+                ids.append(uid)
+            cells.append([record[j] for j in idx])
+            rows.append(r)
+    if not cells:
+        raise LoadError(f"{what} file has no data rows")
+    # numpy parses a string cell exactly as float() does; the cell-by-cell
+    # scan runs only to name a bad cell
     try:
-        v = float(raw)
+        data = np.array(cells, dtype=np.float64)
     except ValueError:
-        raise LoadError(f"non-numeric value {raw!r} at row {row}, column '{col}'") from None
-    if not np.isfinite(v):
-        raise LoadError(f"non-finite value {raw!r} at row {row}, column '{col}'")
-    return v
+        data = None
+    if data is None or not np.isfinite(data).all():
+        _first_bad_cell(cells, rows, names, what)
+    return data, (None if id_col is None else np.array(ids))
 
 
 def load_covariates(source, role_map):
     """Read a header-bearing CSV and assign columns to roles.
 
     ``role_map`` maps column name -> role (one of psi/h/w/x/id) or a list of
-    roles. Columns absent from the map are ignored. Data rows are reported
-    1-based in errors. Shared columns are stored once; the per-role matrices
-    are views into one backing array.
+    roles. Columns absent from the map are ignored, and rows follow
+    ``read_csv``'s policy. A column shared by several roles is read once.
     """
-    if isinstance(source, (str, bytes)) and "\n" not in str(source):
-        fh = open(source, "r", newline="", encoding="utf-8")
-        close = True
-    elif isinstance(source, str):
-        fh = io.StringIO(source)
-        close = False
-    else:
-        fh = source
-        close = False
-    try:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise LoadError("empty file: missing header row") from None
-        header = [c.strip() for c in header]
-        col_index = {c: j for j, c in enumerate(header)}
-
-        roles = {r: [] for r in ROLE_NAMES}
-        id_col = None
-        for col, role_spec in role_map.items():
-            if col not in col_index:
-                raise LoadError(f"missing column '{col}' (file has {header})")
-            specs = [role_spec] if isinstance(role_spec, str) else list(role_spec)
-            for role in specs:
-                if role == "id":
-                    id_col = col
-                elif role in roles:
-                    roles[role].append(col)
-                else:
-                    raise ConfigError(f"unknown role '{role}' for column '{col}'")
-
-        used_cols = sorted(
-            {c for cols in roles.values() for c in cols},
-            key=lambda c: col_index[c],
-        )
-        used_idx = {c: j for j, c in enumerate(used_cols)}
-
-        rows = []
-        ids = []
-        id_row = {}
-        for r, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != len(header):
-                raise LoadError(f"row {r} has {len(record)} fields, expected {len(header)}")
-            rows.append(
-                [_parse_cell(record[col_index[c]].strip(), r, c) for c in used_cols]
-            )
-            if id_col is not None:
-                uid = record[col_index[id_col]].strip()
-                first = id_row.setdefault(uid, r)
-                if first != r:
-                    raise LoadError(f"duplicate id {uid!r} at rows {first} and {r}")
-                ids.append(uid)
-        if not rows:
-            raise LoadError("no data rows")
-        data = np.array(rows, dtype=np.float64)
-        data.setflags(write=False)
-
-        def view(role):
-            cols = roles[role]
-            if not cols:
-                return np.zeros((data.shape[0], 0)), ()
-            return data[:, [used_idx[c] for c in cols]], tuple(cols)
-
-        psi, psi_names = view("psi")
-        h, h_names = view("h")
-        w, w_names = view("w")
-        x, x_names = view("x")
-        id_arr = np.array(ids) if id_col is not None else None
-        return CovariateTable(
-            psi=psi, h=h, w=w, x=x, ids=id_arr,
-            psi_names=psi_names, h_names=h_names, w_names=w_names, x_names=x_names,
-        )
-    finally:
-        if close:
-            fh.close()
+    roles = {r: [] for r in ROLE_NAMES}
+    id_col = None
+    for col, role_spec in role_map.items():
+        for role in [role_spec] if isinstance(role_spec, str) else list(role_spec):
+            if role == "id":
+                id_col = col
+            elif role in roles:
+                roles[role].append(col)
+            else:
+                raise ConfigError(f"unknown role '{role}' for column '{col}'")
+    used = list(dict.fromkeys(c for cols in roles.values() for c in cols))
+    data, ids = read_csv(source, used, id_col, "covariates")
+    views = {role: data[:, [used.index(c) for c in cols]] if cols
+             else np.zeros((data.shape[0], 0)) for role, cols in roles.items()}
+    names = {role + "_names": tuple(cols) for role, cols in roles.items()}
+    return CovariateTable(ids=ids, **views, **names)
 
 
 def write_covariates(table, path_or_fh):
@@ -240,15 +244,12 @@ def write_covariates(table, path_or_fh):
             if name not in seen:
                 seen[name] = True
                 cols.append((name, mat[:, j]))
-    fh = open(path_or_fh, "w", newline="", encoding="utf-8") if isinstance(path_or_fh, str) else path_or_fh
-    try:
+    with (nullcontext(path_or_fh) if hasattr(path_or_fh, "write")
+          else open(path_or_fh, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["id"] + [name for name, _ in cols])
         for i in range(table.n):
             writer.writerow([table.ids[i]] + [repr(float(v[i])) for _, v in cols])
-    finally:
-        if isinstance(path_or_fh, str):
-            fh.close()
 
 
 @dataclass(frozen=True)
@@ -388,14 +389,14 @@ class ExperimentFrame:
         d = np.asarray(self.d)
         n = self.covariates.n
         if d.shape != (n,):
-            raise ValueError(f"d must have shape ({n},)")
+            raise ConfigError(f"d must have shape ({n},), got {d.shape}")
         if not np.isin(d, (0, 1)).all():
-            raise ValueError("d must be binary")
+            raise ConfigError("d must be binary")
         if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+            raise ConfigError(f"p must lie in (0, 1), got {self.p}")
         m = self.p * n
         if abs(m - round(m)) > 1e-9 or int(d.sum()) != round(m):
-            raise ValueError(
+            raise ConfigError(
                 f"sum(d) = {int(d.sum())} but n*p = {m}: assignment does not match p"
             )
         d = d.astype(np.int8)
@@ -406,7 +407,10 @@ class ExperimentFrame:
             if arr is not None:
                 arr = np.asarray(arr, dtype=np.float64)
                 if arr.shape != (n,):
-                    raise ValueError(f"{name} must have shape ({n},)")
+                    raise LoadError(f"{name} must have shape ({n},)")
+                if name == "d_endog" and not np.isin(arr, (0, 1)).all():
+                    raise LoadError("d_endog (the realized treatment, an outcomes 'd' "
+                                    "column) must be 0 or 1")
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
 

@@ -39,6 +39,7 @@ from .core import (
     ExperimentFrame,
     SingularityError,
     as_generator,
+    check_keys,
     psd_root,
 )
 from .gmm import fd_jacobian, newton_root
@@ -683,41 +684,53 @@ def rerandomize(partition, h, region, rng, max_draws=100_000, keep_trace=False):
 # region (de)serialization for the JSON design spec ------------------------
 
 
+# shape -> (required keys, optional keys) of its JSON spec, besides "shape"
+_REGION_KEYS = {
+    "none": ((), ()),
+    "mahalanobis": ((), ("alpha", "eps2")),
+    "ellipsoid-mahalanobis": ((), ("alpha", "eps2")),
+    "polar": (("gamma_bar", "U", "eps"), ("p",)),
+    "ball": (("dim", "eps"), ()),
+    "rectangle-polar": (("a", "b", "eps"), ()),
+    "pilot-wald": (("gamma_pilot", "sigma_pilot", "m", "alpha", "eps"), ()),
+    "propensity": (("eps2",), ("link",)),
+    "propensity-threshold": (("eps2",), ("link",)),
+}
+_POLAR_SHAPES = ("polar", "ball", "rectangle-polar", "pilot-wald")
+
+
 def region_from_dict(spec):
     if spec is None:
         return FullSpaceRegion()
+    if not isinstance(spec, dict):
+        raise ConfigError(f"region must be a JSON object, got {type(spec).__name__}")
     shape = spec.get("shape", "none")
-    known = {"none", "ball", "ellipsoid-mahalanobis", "mahalanobis", "polar",
-             "rectangle-polar", "pilot-wald", "propensity-threshold", "propensity"}
-    extra = set(spec) - {"shape", "alpha", "eps", "eps2", "gamma_bar", "U", "p",
-                         "a", "b", "gamma_pilot", "sigma_pilot", "m", "link", "dim"}
-    if extra:
-        raise ConfigError(f"unknown region keys {sorted(extra)}")
-    if shape not in known:
+    if shape not in _REGION_KEYS:
         raise ConfigError(f"unknown region shape {shape!r}")
+    # any polar-family shape round-trips through the generic
+    # (gamma_bar, U, p, eps) parameterization once serialized
+    generic = shape in _POLAR_SHAPES and "gamma_bar" in spec
+    required, optional = _REGION_KEYS["polar" if generic else shape]
+    check_keys(spec, {"shape", *required, *optional}, f"region {shape!r}", required)
     if shape == "none":
         return FullSpaceRegion()
     if shape in ("mahalanobis", "ellipsoid-mahalanobis"):
         return MahalanobisRegion(alpha=spec.get("alpha"), eps2=spec.get("eps2"))
-    if shape in ("ball", "polar", "rectangle-polar", "pilot-wald"):
-        # any polar-family shape round-trips through the generic
-        # (gamma_bar, U, p) parameterization once serialized
-        if "gamma_bar" in spec:
-            return PolarRegion(
-                gamma_bar=np.asarray(spec["gamma_bar"], dtype=np.float64),
-                U=np.asarray(spec["U"], dtype=np.float64),
-                p_exponent=np.inf if spec.get("p") is None else float(spec["p"]),
-                eps=float(spec["eps"]),
-                shape=shape,
-            )
-        if shape == "ball":
-            return PolarRegion.ball(dim=int(spec["dim"]), eps=float(spec["eps"]))
-        if shape == "rectangle-polar":
-            return PolarRegion.rectangle(spec["a"], spec["b"], eps=float(spec["eps"]))
-        if shape == "pilot-wald":
-            return pilot_wald_region(
-                spec["gamma_pilot"], spec["sigma_pilot"], m=int(spec["m"]),
-                alpha=float(spec["alpha"]), eps=float(spec["eps"]),
-            )
-        raise ConfigError("polar region needs gamma_bar and U")
+    if generic:
+        return PolarRegion(
+            gamma_bar=np.asarray(spec["gamma_bar"], dtype=np.float64),
+            U=np.asarray(spec["U"], dtype=np.float64),
+            p_exponent=np.inf if spec.get("p") is None else float(spec["p"]),
+            eps=float(spec["eps"]),
+            shape=shape,
+        )
+    if shape == "ball":
+        return PolarRegion.ball(dim=int(spec["dim"]), eps=float(spec["eps"]))
+    if shape == "rectangle-polar":
+        return PolarRegion.rectangle(spec["a"], spec["b"], eps=float(spec["eps"]))
+    if shape == "pilot-wald":
+        return pilot_wald_region(
+            spec["gamma_pilot"], spec["sigma_pilot"], m=int(spec["m"]),
+            alpha=float(spec["alpha"]), eps=float(spec["eps"]),
+        )
     return PropensityRegion(eps2=float(spec["eps2"]), link=spec.get("link", "logit"))

@@ -475,6 +475,9 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     if len(set(names)) != len(names):
         raise ConfigError("design names must be unique")
 
+    if estimand in ("late", "clate") and dgp.compliance is None:
+        raise ConfigError(f"estimand {estimand!r} needs a DGP with noncompliance "
+                          "(DgpSpec.compliance is not set)")
     if estimand in ("cate", "clate") and x_cols is None:
         x_cols = (0,)
     if theta0 is None:

@@ -55,6 +55,16 @@ def test_psi_measurable_w_rejected_under_perfect_pairs():
         fit_adjustment(fit, frame, part, w=psi_vals[:, None])
 
 
+def test_rank_deficient_gram_rejected_even_when_cholesky_succeeds():
+    from finestrat.adjust import _gram_cholesky
+
+    # rank one up to rounding: Cholesky finds a pivot of 1e-7 and succeeds
+    gram = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]])
+    np.linalg.cholesky(gram)
+    with pytest.raises(SingularityError, match=r"near-collinear columns: \['a'\]"):
+        _gram_cholesky(gram, np.linalg.cond(gram), ("a", "b"))
+
+
 def test_adjusted_estimate_identity_with_w_equals_h():
     gen = np.random.default_rng(4)
     n = 300

@@ -357,7 +357,13 @@ def test_estimate_rejects_duplicate_outcome_ids(tmp_path, capsys):
      "outcomes row 1 has 2 fields, expected 3"),
     ("id,y\n" + "".join(f"u{i},{i}.5\n" for i in range(19)) + "u19\n", 2,
      "outcomes row 20 has 1 fields, expected 2"),
-], ids=["blank-row", "missing-d", "missing-y"])
+    # a row longer than its header is refused too
+    ("id,y\n" + "".join(f"u{i},{i}.5\n" for i in range(19)) + "u19,1.0,1\n", 2,
+     "outcomes row 20 has 3 fields, expected 2"),
+    ("id,y\n" + "".join(f"u{i},{i}.5\n" for i in range(4)) + "u4,nan\n"
+     + "".join(f"u{i},{i}.5\n" for i in range(5, 20)), 2,
+     "non-finite value 'nan' in outcomes row 5, column 'y'"),
+], ids=["blank-row", "missing-d", "missing-y", "long-row", "nan-y"])
 def test_estimate_outcome_rows(tmp_path, capsys, text, rc, message):
     cov, spec_path = _id_workspace(tmp_path, [f"u{i}" for i in range(20)])
     out = tmp_path / "assign.csv"
@@ -372,3 +378,64 @@ def test_estimate_outcome_rows(tmp_path, capsys, text, rc, message):
     if message is not None:
         assert message in capsys.readouterr().err
 
+
+@pytest.mark.parametrize("estimand", ["late", "clate"])
+def test_simulate_noncompliance_estimand_exit_2(tmp_path, capsys, estimand):
+    # the simulate spec has no compliance rate, so d1 - d0 is undefined
+    spec = {"model": 2, "dim_r": 3, "n": 60, "replicates": 100, "estimand": estimand}
+    spec_path = tmp_path / "sim.json"
+    spec_path.write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(tmp_path / "r.csv")]) == 2
+    assert "needs a DGP with noncompliance" in capsys.readouterr().err
+
+
+def _drop(key):
+    return lambda doc: doc.pop(key)
+
+
+def _set_first_treated(value):
+    return lambda manifest: manifest["d"].__setitem__(manifest["d"].index(1), value)
+
+
+@pytest.mark.parametrize("target,edit,message", [
+    ("manifest", _drop("d"), "design manifest is missing required key 'd'"),
+    ("manifest", _drop("partition"), "missing required key 'partition'"),
+    ("manifest", _drop("spec"), "missing required key 'spec'"),
+    ("manifest", _drop("covariates_sha256"), "missing required key 'covariates_sha256'"),
+    ("manifest", lambda m: m["spec"].pop("roles"), "manifest spec is missing required key 'roles'"),
+    ("manifest", lambda m: m["partition"].pop("groups"), "missing required key 'groups'"),
+    ("manifest", lambda m: m.update(d=m["d"][:-1]), "d must have shape (20,), got (19,)"),
+    ("manifest", _set_first_treated(2), "d must be binary"),
+    ("manifest", _set_first_treated(0.5), "d must be binary"),
+    ("manifest", lambda m: m.update(extra=1), "unknown keys ['extra']"),
+    # an outcomes d of 2.5 used to give a LATE estimate
+    ("outcomes", lambda lines: lines.__setitem__(3, lines[3][:-1] + "2.5"), "must be 0 or 1"),
+    ("simulation spec", _drop("model"), "simulation spec is missing required key 'model'"),
+    ("simulation spec", _drop("n"), "missing required key 'n'"),
+], ids=["no-d", "no-partition", "no-spec", "no-hash", "no-roles", "no-groups", "short-d",
+        "d-2", "d-half", "extra-key", "outcome-d", "sim-no-model", "sim-no-n"])
+def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, message):
+    ids = [f"u{i}" for i in range(20)]
+    cov, spec_path = _id_workspace(tmp_path, ids)
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(out)]) == 0
+    manifest_path = tmp_path / "assign.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    outcomes = ["id,y,d"] + [f"{u},{i}.5,{d}" for i, (u, d) in enumerate(zip(ids, manifest["d"]))]
+    argv = ["estimate", "--manifest", str(manifest_path), "--data", str(cov),
+            "--outcomes", str(tmp_path / "y.csv"), "--out", str(tmp_path / "report.json")]
+    if target == "manifest":
+        edit(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+    elif target == "outcomes":
+        edit(outcomes)
+    else:
+        sim = {"model": 2, "dim_r": 3, "n": 60, "replicates": 100}
+        edit(sim)
+        (tmp_path / "sim.json").write_text(json.dumps(sim))
+        argv = ["simulate", "--spec", str(tmp_path / "sim.json"), "--out", str(tmp_path / "r.csv")]
+    (tmp_path / "y.csv").write_text("\n".join(outcomes) + "\n")
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err

@@ -46,6 +46,9 @@ def test_load_non_numeric_names_row_and_column():
 def test_load_missing_column():
     with pytest.raises(LoadError, match="missing column 'zzz'"):
         load_covariates(io.StringIO(CSV_4ROW), {"zzz": "psi"})
+    # a column named twice would be read from one of its copies silently
+    with pytest.raises(LoadError, match="repeated column 'gpa'"):
+        load_covariates(io.StringIO("gpa,age,gpa\n3.1,19,2.0\n"), {"gpa": "psi"})
 
 
 def test_load_unknown_role():

@@ -1,8 +1,15 @@
 """Exact structural properties: no tolerances. Floating-point exactness is
 achieved by using dyadic rationals (integers over powers of two), for which
-the demeaning and shifting arithmetic is exact in binary floating point."""
+the demeaning and shifting arithmetic is exact in binary floating point.
+The last tests cover the input boundary: CSV round-trips and malformed
+covariate and outcome files through the CLI."""
+
+import contextlib
+import io
+import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +22,15 @@ from finestrat import (
     RngSpec,
     draw_stratified,
     fit_adjustment,
+    load_covariates,
     match_k_tuples,
     rerandomize,
     score_sate,
     solve_gmm,
     within_tuple_demean,
+    write_covariates,
 )
+from finestrat.cli import main
 
 
 def _dyadic(gen, shape, span=32, denom=4.0):
@@ -113,3 +123,118 @@ def test_stratified_draw_exact_counts_always():
             draw = draw_stratified(part, RngSpec(s, 3))
             counts = draw.d[part.groups].sum(axis=1)
             assert np.array_equal(counts, np.full(7, l))
+
+
+ROLES = ("psi", "h", "w", "x")
+
+
+@given(data=st.data(), n=st.integers(min_value=1, max_value=6),
+       m=st.integers(min_value=1, max_value=4))
+@settings(max_examples=40, deadline=None)
+def test_covariate_csv_roundtrip_bit_exact(data, n, m):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = np.array(data.draw(st.lists(st.lists(finite, min_size=m, max_size=m),
+                                         min_size=n, max_size=n)), dtype=np.float64)
+    # each column serves one or more roles
+    col_roles = [sorted(data.draw(st.sets(st.sampled_from(ROLES), min_size=1)))
+                 for _ in range(m)]
+    kwargs = {}
+    for role in ROLES:
+        cols = [j for j in range(m) if role in col_roles[j]]
+        kwargs[role] = values[:, cols] if cols else None
+        kwargs[role + "_names"] = tuple(f"c{j}" for j in cols)
+    ids = np.array([f"u{i}" for i in range(n)])
+    table = CovariateTable(ids=ids, **kwargs)
+    buf = io.StringIO()
+    write_covariates(table, buf)
+    lines = buf.getvalue().splitlines()
+    # blank rows anywhere after the header are skipped
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        at = data.draw(st.integers(min_value=1, max_value=len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["", "   "])))
+    role_map = {f"c{j}": col_roles[j] for j in range(m)}
+    role_map["id"] = "id"
+    back = load_covariates(io.StringIO("\n".join(lines) + "\n"), role_map)
+    assert back.ids.tolist() == ids.tolist()
+    for role in ROLES:
+        assert getattr(back, role).tobytes() == getattr(table, role).tobytes()
+        assert back.role_names(role) == table.role_names(role)
+
+
+BAD_TOKENS = ["NA", "", "abc", "1.5.2", "0x10", "nan", "inf", "-inf", "1e400"]
+N_UNITS = 20
+
+
+@pytest.fixture(scope="module")
+def assigned(tmp_path_factory):
+    """An assign run on 20 units whose covariate file has an unused text
+    column, plus a valid outcomes file for it."""
+    tmp = tmp_path_factory.mktemp("cli")
+    gen = np.random.default_rng(8)
+    ids = [f"u{i}" for i in range(N_UNITS)]
+    cov = ["id,psi,note,h1"] + [f"{u},{a!r},text {i},{b!r}" for i, (u, a, b) in
+                                enumerate(zip(ids, *gen.standard_normal((2, N_UNITS)).tolist()))]
+    (tmp / "cov.csv").write_text("\n".join(cov) + "\n")
+    (tmp / "design.json").write_text(json.dumps({
+        "roles": {"id": "id", "psi": "psi", "h1": ["h", "w"]}, "k": 2, "l": 1,
+        "region": {"shape": "mahalanobis", "alpha": 0.2}, "seed": 3}))
+    assert main(["assign", "--spec", str(tmp / "design.json"), "--data", str(tmp / "cov.csv"),
+                 "--out", str(tmp / "assign.csv")]) == 0
+    d = json.loads((tmp / "assign.csv.manifest.json").read_text())["d"]
+    outcomes = ["id,y,d"] + [f"{u},{i}.25,{di}" for i, (u, di) in enumerate(zip(ids, d))]
+    return tmp, cov, outcomes
+
+
+def _main_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+def _set_field(lines, row, col, token):
+    fields = lines[row].split(",")
+    fields[lines[0].split(",").index(col)] = token
+    lines[row] = ",".join(fields)
+
+
+@given(row=st.integers(min_value=1, max_value=N_UNITS), col=st.sampled_from(["psi", "h1"]),
+       token=st.sampled_from(BAD_TOKENS), blank=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_bad_covariate_cell_exit_2_names_row_and_column(assigned, row, col, token, blank):
+    tmp, cov, _ = assigned
+    lines = list(cov)
+    _set_field(lines, row, col, token)
+    if blank:  # a blank row before the data still counts in the row number
+        lines.insert(1, "")
+    (tmp / "bad.csv").write_text("\n".join(lines) + "\n")
+    rc, err = _main_stderr(["assign", "--spec", str(tmp / "design.json"),
+                            "--data", str(tmp / "bad.csv"), "--out", str(tmp / "bad-assign.csv")])
+    assert rc == 2
+    assert f"covariates row {row + blank}, column '{col}'" in err
+
+
+@given(row=st.integers(min_value=1, max_value=N_UNITS),
+       other=st.integers(min_value=1, max_value=N_UNITS),
+       fault=st.sampled_from(["y", "d", "rename", "repeat"]), token=st.sampled_from(BAD_TOKENS))
+@settings(max_examples=40, deadline=None)
+def test_bad_outcome_row_exit_2_names_row(assigned, row, other, fault, token):
+    tmp, _, outcomes = assigned
+    lines = list(outcomes)
+    if fault in ("y", "d"):
+        _set_field(lines, row, fault, token)
+        expected = [f"outcomes row {row}, column '{fault}'"]
+    elif fault == "rename":
+        _set_field(lines, row, "id", "zz")
+        expected = [f"outcomes file is missing id 'u{row - 1}'"]
+    else:
+        if other == row:
+            other = row % N_UNITS + 1
+        _set_field(lines, row, "id", f"u{other - 1}")
+        expected = ["duplicate id", f"rows {min(row, other)} and {max(row, other)}"]
+    (tmp / "bad-y.csv").write_text("\n".join(lines) + "\n")
+    rc, err = _main_stderr(["estimate", "--manifest", str(tmp / "assign.csv.manifest.json"),
+                            "--data", str(tmp / "cov.csv"), "--outcomes", str(tmp / "bad-y.csv"),
+                            "--out", str(tmp / "bad-report.json")])
+    assert rc == 2
+    assert all(part in err for part in expected), err

@@ -546,6 +546,7 @@ def test_region_json_roundtrip_all_shapes():
         PolarRegion.rectangle(-np.ones(2), np.ones(2), eps=0.7),
         pilot_wald_region(gen.standard_normal(3), np.eye(3), m=50, alpha=0.05, eps=1.1),
         PropensityRegion(eps2=0.4),
+        PolarRegion(gamma_bar=np.zeros(2), U=np.eye(2), p_exponent=np.inf, eps=0.5),
     ]
     x = gen.standard_normal(3)
     for region in regions:
@@ -555,6 +556,35 @@ def test_region_json_roundtrip_all_shapes():
         if isinstance(region, PolarRegion):
             assert clone.penalty(x[: region.gamma_bar.size])[0] == pytest.approx(
                 region.penalty(x[: region.gamma_bar.size])[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"shape": "ball", "dim": 2, "eps": 1.0}, None),
+    ({"shape": "rectangle-polar", "a": [-1.0], "b": [1.0], "eps": 0.5}, None),
+    ({"shape": "pilot-wald", "gamma_pilot": [0.5, 0.0], "sigma_pilot": [[1, 0], [0, 1]],
+      "m": 20, "alpha": 0.1, "eps": 1.0}, None),
+    ({"shape": "propensity", "eps2": 0.3}, None),
+    ({"shape": "ball", "eps": 1}, "region 'ball' is missing required key 'dim'"),
+    ({"shape": "mahalanobis", "alpha": 0.2, "eps": 9},
+     "region 'mahalanobis' has unknown keys ['eps']"),
+    ({"shape": "polar", "U": [[1.0]], "eps": 1.0}, "missing required key 'gamma_bar'"),
+    ({"shape": "ball", "dim": 2, "eps": 1.0, "U": [[1.0]]}, "region 'ball' has unknown keys ['U']"),
+    ({"shape": "propensity-threshold", "eps2": 0.3, "alpha": 0.1}, "unknown keys ['alpha']"),
+    ({"shape": "rectangle-polar", "a": [0.0], "eps": 1.0}, "missing required key 'b'"),
+    ({"alpha": 0.1}, "region 'none' has unknown keys ['alpha']"),
+    ({"shape": "cube"}, "unknown region shape 'cube'"),
+    ([1, 2], "region must be a JSON object"),
+])
+def test_region_from_dict_key_table(spec, message):
+    from finestrat import region_from_dict
+
+    if message is None:
+        assert region_from_dict(spec).shape == spec["shape"].replace(
+            "propensity", "propensity-threshold")
+    else:
+        with pytest.raises(ConfigError) as exc:
+            region_from_dict(spec)
+        assert message in str(exc.value)
 
 
 def test_propensity_region_treats_separation_as_rejection():
