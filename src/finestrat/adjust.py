@@ -35,25 +35,23 @@ class AdjustmentFit:
 
 
 def _gram_cholesky(gram, cond, names):
-    # A Cholesky factor can exist for a numerically rank-deficient Gram, so
-    # column-pivoted QR decides singularity and names the (near-)collinear
-    # columns. Its test (a diagonal entry at most 1e-10 of the largest) can
-    # only fire when cond >= 1e10, so better-conditioned Grams skip it.
-    bad = []
-    if cond >= 1e9:
-        r, piv = sla.qr(gram, pivoting=True, mode="r")
-        diag = np.abs(np.diag(r))
-        bad = [names[piv[j]] for j in np.flatnonzero(diag <= diag.max() * 1e-10)]
+    # chol[j, j]**2 / gram[j, j] is 1 - R^2 of column j on the columns before
+    # it, so this rank test does not depend on the units of the columns.
     try:
-        chol = None if bad else np.linalg.cholesky(gram)
+        chol = np.linalg.cholesky(gram)
+        if (np.diag(chol) ** 2 > 1e-10 * np.diag(gram)).all():
+            return chol
     except np.linalg.LinAlgError:
-        chol = None
-    if chol is None:
-        raise SingularityError(
-            f"adjustment design matrix is singular (condition number {cond:.3e}); "
-            f"near-collinear columns: {bad or 'unidentified'}"
-        )
-    return chol
+        pass
+    # column-pivoted QR of the unit-diagonal Gram names the collinear columns
+    s = 1.0 / np.sqrt(np.diag(gram))
+    r, piv = sla.qr(gram * s[:, None] * s, pivoting=True, mode="r")
+    diag = np.abs(np.diag(r))
+    bad = [names[piv[j]] for j in np.flatnonzero(diag <= diag.max() * 1e-10)]
+    raise SingularityError(
+        f"adjustment design matrix is singular (condition number {cond:.3e}); "
+        f"near-collinear columns: {bad or 'unidentified'}"
+    )
 
 
 def fit_adjustment(fit, frame, partition, w=None, w_names=None):

@@ -40,8 +40,6 @@ _MATCH_KEYS = {"method", "weights"}
 _MANIFEST_REQUIRED = ("covariates_sha256", "spec", "partition", "d")
 _MANIFEST_KEYS = {"version", "covariates_sha256", "spec", "seed", "partition", "d",
                   "draws_to_accept", "penalty", "accepted"}
-_PARTITION_REQUIRED = ("groups", "k", "l")
-_PARTITION_KEYS = {"groups", "k", "l", "homogeneity", "pairing", "pairing_stat"}
 _SIM_REQUIRED = ("model", "dim_r", "n")
 _SIM_KEYS = {"model", "dim_r", "n", "p", "replicates", "seed", "designs",
              "estimand", "accept_alpha", "threads", "ci_alpha"}
@@ -142,8 +140,6 @@ def cmd_estimate(args):
     manifest = _load_json(args.manifest, "design manifest")
     check_keys(manifest, _MANIFEST_KEYS, "design manifest", _MANIFEST_REQUIRED)
     check_keys(manifest["spec"], _DESIGN_KEYS, "manifest spec", _DESIGN_REQUIRED)
-    check_keys(manifest["partition"], _PARTITION_KEYS, "manifest partition",
-               _PARTITION_REQUIRED)
     digest = _sha256(args.data)
     if digest != manifest["covariates_sha256"]:
         raise ConfigError(

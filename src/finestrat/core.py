@@ -332,6 +332,8 @@ class GroupPartition:
 
     @classmethod
     def from_json_dict(cls, d):
+        check_keys(d, {"groups", "k", "l", "homogeneity", "pairing", "pairing_stat"},
+                   "partition", ("groups", "k", "l"))
         return cls(
             groups=np.asarray(d["groups"], dtype=np.intp),
             k=int(d["k"]),

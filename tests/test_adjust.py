@@ -65,6 +65,28 @@ def test_rank_deficient_gram_rejected_even_when_cholesky_succeeds():
         _gram_cholesky(gram, np.linalg.cond(gram), ("a", "b"))
 
 
+def test_rank_test_ignores_column_units():
+    from finestrat.adjust import _gram_cholesky
+
+    # uncorrelated columns whose scales differ by 2e5 are well identified
+    gram = np.diag([4e10, 1.0])
+    chol = _gram_cholesky(gram, np.linalg.cond(gram), ("a", "b"))
+    np.testing.assert_array_equal(chol, np.diag([2e5, 1.0]))
+    # rescaling one adjustment column rescales its coefficient and nothing else
+    gen = np.random.default_rng(8)
+    n = 200
+    part = _pairs(n)
+    d = draw_stratified(part, RngSpec(9)).d
+    w = gen.standard_normal((n, 2))
+    y = w @ np.array([1.0, -0.5]) + gen.standard_normal(n)
+    fit = solve_gmm(_frame(d, y, w=w), score_sate())
+    base = fit_adjustment(fit, _frame(d, y, w=w), part, w=w)
+    w_big = w * np.array([1e6, 1.0])
+    big = fit_adjustment(fit, _frame(d, y, w=w_big), part, w=w_big)
+    np.testing.assert_allclose(big.alpha * np.array([[1e6], [1.0]]), base.alpha, rtol=1e-9)
+    assert big.theta_adj == pytest.approx(base.theta_adj, rel=1e-12)
+
+
 def test_adjusted_estimate_identity_with_w_equals_h():
     gen = np.random.default_rng(4)
     n = 300
