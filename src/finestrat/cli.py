@@ -84,9 +84,7 @@ def _read_design(args):
 def cmd_assign(args):
     spec, seed, table, partition, region = _read_design(args)
     max_draws = int(spec.get("max_draws", 10000))
-    result = rerandomize(partition, table.h, region, RngSpec(seed, 1),
-                         max_draws=max_draws, keep_trace=args.trace is not None)
-    draw, trace = result if args.trace is not None else (result, None)
+    draw = rerandomize(partition, table.h, region, RngSpec(seed, 1), max_draws=max_draws)
 
     group_of = partition.group_of()
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -94,11 +92,13 @@ def cmd_assign(args):
         writer.writerow(["id", "group", "d"])
         for i in range(table.n):
             writer.writerow([table.ids[i], int(group_of[i]), int(draw.d[i])])
-    if trace is not None:
+    if args.trace is not None:
+        # rerandomize stops at the first accepted draw, so only the last can be
         with open(args.trace, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["draw_index", "penalty", "accepted"])
-            writer.writerows(trace)
+            writer.writerows((i, float(pen), draw.accepted and i == draw.penalties.size)
+                             for i, pen in enumerate(draw.penalties, 1))
 
     manifest = {
         "version": __version__,

@@ -44,6 +44,13 @@ class EstimationError(FinestratError, RuntimeError):
 ROLE_NAMES = ("psi", "h", "w", "x")
 
 
+def read_only(a):
+    """A read-only view of `a`: the stored array is frozen, the caller's is not."""
+    a = a.view()
+    a.setflags(write=False)
+    return a
+
+
 def _as_matrix(a, n, name):
     if a is None:
         return np.zeros((n, 0), dtype=np.float64)
@@ -90,8 +97,7 @@ class CovariateTable:
                 raise LoadError(
                     f"non-finite value in role '{role}' at row {bad[0] + 1}, column {bad[1]}"
                 )
-            mat.setflags(write=False)
-            object.__setattr__(self, role, mat)
+            object.__setattr__(self, role, read_only(mat))
             names = getattr(self, role + "_names")
             if not names:
                 names = tuple(f"{role}{j}" for j in range(mat.shape[1]))
@@ -102,8 +108,7 @@ class CovariateTable:
         ids = np.asarray(ids)
         if ids.shape[0] != n:
             raise LoadError("ids length does not match covariate rows")
-        ids.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ids", read_only(ids))
 
     @property
     def n(self):
@@ -269,8 +274,7 @@ class GroupPartition:
         groups = np.asarray(self.groups, dtype=np.intp)
         if groups.ndim != 2 or groups.shape[1] != self.k:
             raise ConfigError(f"groups must be (G, {self.k}), got {groups.shape}")
-        groups.setflags(write=False)
-        object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "groups", read_only(groups))
         if not (1 <= self.l <= self.k - 1):
             raise ConfigError(f"need 1 <= l <= k-1, got l={self.l}, k={self.k}")
         flat = groups.ravel()
@@ -288,8 +292,7 @@ class GroupPartition:
                 raise ConfigError("pairing must map each group to a partner")
             if np.any(rho == np.arange(G)) or not np.array_equal(rho[rho], np.arange(G)):
                 raise ConfigError("pairing must be a fixed-point-free involution")
-            rho.setflags(write=False)
-            object.__setattr__(self, "pairing", rho)
+            object.__setattr__(self, "pairing", read_only(rho))
 
     @property
     def n(self):
@@ -401,9 +404,7 @@ class ExperimentFrame:
             raise ConfigError(
                 f"sum(d) = {int(d.sum())} but n*p = {m}: assignment does not match p"
             )
-        d = d.astype(np.int8)
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", read_only(d.astype(np.int8)))
         for name in ("y", "d_endog"):
             arr = getattr(self, name)
             if arr is not None:
@@ -413,8 +414,7 @@ class ExperimentFrame:
                 if name == "d_endog" and not np.isin(arr, (0, 1)).all():
                     raise LoadError("d_endog (the realized treatment, an outcomes 'd' "
                                     "column) must be 0 or 1")
-                arr.setflags(write=False)
-                object.__setattr__(self, name, arr)
+                object.__setattr__(self, name, read_only(arr))
 
     @property
     def n(self):

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, as_generator
+from .core import ConfigError, as_generator, read_only
 
 
 @dataclass(frozen=True)
@@ -15,23 +15,26 @@ class AssignmentDraw:
     draw_index: int = 1
     accepted: bool = True
     penalty: float | None = None
+    penalties: np.ndarray | None = None  # rerandomize: every penalty scored, in draw order
 
     def __post_init__(self):
-        d = np.asarray(self.d, dtype=np.int8)
-        d.setflags(write=False)
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", read_only(np.asarray(self.d, dtype=np.int8)))
+        if self.penalties is not None:
+            object.__setattr__(self, "penalties", read_only(np.asarray(self.penalties)))
 
 
-def treated_units_batch(groups, l, gen, size):
-    """Draw `size` independent stratified assignments; returns the treated
-    unit indices as a (size, G, l) array.
+def treated_slots(G, k, l, gen, size):
+    """Slots (0..k-1) treated in `size` independent stratified draws over G
+    groups of k units with l treated each, as a (size, G, l) array.
 
-    Each group's treated subset comes from a partial Fisher-Yates shuffle of
-    the group's slots (l swap rounds), which is exactly uniform over size-l
-    subsets. Vectorized across draws and groups.
+    Each group's treated slots come from a partial Fisher-Yates shuffle of
+    its k slots (l swap rounds, round t drawing gen.integers(t, k) for every
+    draw and group), which is exactly uniform over size-l subsets. On the
+    identity permutation round 0's draw is slot 0's pick, so the permutation
+    is built only when l >= 2.
     """
-    groups = np.asarray(groups)
-    G, k = groups.shape
+    if l == 1:
+        return gen.integers(0, k, size=(size, G))[:, :, None]
     perm = np.broadcast_to(np.arange(k), (size, G, k)).copy()
     bi = np.arange(size)[:, None]
     gi = np.arange(G)[None, :]
@@ -40,8 +43,16 @@ def treated_units_batch(groups, l, gen, size):
         tmp = perm[bi, gi, j]
         perm[bi, gi, j] = perm[:, :, t]
         perm[:, :, t] = tmp
-    pos = perm[:, :, :l]
-    return np.take_along_axis(np.broadcast_to(groups, (size, G, k)), pos, axis=2)
+    return perm[:, :, :l]
+
+
+def treated_units_batch(groups, l, gen, size):
+    """Draw `size` independent stratified assignments; returns the treated
+    unit indices as a (size, G, l) array: the treated_slots draw looked up
+    in each group's row of `groups`."""
+    groups = np.asarray(groups)
+    slots = treated_slots(*groups.shape, l, gen, size)
+    return np.take_along_axis(groups[None], slots, axis=2)
 
 
 def assignment_matrix_from_treated(treated, n):

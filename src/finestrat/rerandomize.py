@@ -46,7 +46,7 @@ from .gmm import fd_jacobian, newton_root
 from .randomize import (
     AssignmentDraw,
     assignment_matrix_from_treated,
-    treated_units_batch,
+    treated_slots,
 )
 
 
@@ -75,8 +75,7 @@ def _finite_sample_sigma(x, partition, p):
     """Var(D)^{-1} * (k/(k-1)) * E_n[xcheck xcheck'] on demeaned columns."""
     xc = within_tuple_demean(x, partition)
     k = partition.k
-    vard = p * (1.0 - p)
-    return (xc.T @ xc) / x.shape[0] * (k / (k - 1.0)) / vard
+    return (xc.T @ xc) / x.shape[0] * (k / (k - 1.0)) / (p * (1.0 - p))
 
 
 def _balance_cholesky(sigma):
@@ -577,12 +576,7 @@ def _bind(region, partition, h):
 def _batch_penalties(region, partition, h, gen, draws):
     """Penalties of `draws` fresh stratified draws."""
     bound = _bind(region, partition, h)
-    pens = np.empty(draws)
-    done = 0
-    for batch, _ in _scored_batches(bound, partition, gen, draws):
-        pens[done:done + batch.size] = batch
-        done += batch.size
-    return pens
+    return np.concatenate([pens for pens, _ in _scored_batches(bound, partition, gen, draws)])
 
 
 def _scored_batches(bound, partition, gen, draws):
@@ -590,58 +584,57 @@ def _scored_batches(bound, partition, gen, draws):
     regions) or 512 (stat-based regions). Yields (penalties, treated) per
     batch, where treated(b) gives draw b's (G, l) treated unit indices.
 
-    The generator consumes exactly the stream of one treated_units_batch
-    call per batch. For matched pairs (k = 2, l = 1, so p = 1/2) with a
-    stat-based region, draw b treats slot j[b, g] of group g, and
-    T = sqrt(n)(mean_1 - mean_0) = (2 j - 1) @ delta with S = bound.stats and
-    delta = (2 / sqrt(n)) (S[groups[:, 1]] - S[groups[:, 0]]): a batch costs
-    one sign GEMM over within-pair differences and no (B, G, l, d) gather.
+    Each batch is one treated_slots draw, the stream of one
+    treated_units_batch call. A stat-based region scores it with one GEMM
+    over within-group differences, for every (k, l): with S = bound.stats and
+    mask[b, g, s] = 1 when draw b treats slot s of group g,
+    T = sqrt(n)(mean_1 - mean_0) = sum_g sum_{s >= 1} (mask[b, g, s] - p)
+        (S[groups[g, s]] - S[groups[g, 0]]) / (sqrt(n) p (1 - p)),
+    as each group's mask - p sums to l - k p = 0. For matched pairs this is
+    the sign GEMM (j - 1/2) @ ((4 / sqrt(n)) (S_1 - S_0)).
     """
     n = partition.n
     groups = partition.groups
-    p = partition.p
+    G, k = groups.shape
+    l, p = partition.l, partition.p
     S = bound.stats
-    pairs = S is not None and partition.k == 2 and partition.l == 1
     batch = 32 if S is None else 512
-    if pairs:
-        # (j - 1/2) @ (2 delta) equals (2 j - 1) @ delta exactly
-        delta2 = (4.0 / np.sqrt(n)) * (S[groups[:, 1]] - S[groups[:, 0]])
-        rows = np.arange(partition.n_groups)
-    elif S is not None:
-        colsum = S.sum(axis=0)
-        vard = p * (1.0 - p)
+    if S is not None:
+        scale = 1.0 / (np.sqrt(n) * p * (1.0 - p))
+        diff = scale * (S[groups[:, 1:]] - S[groups[:, :1]]).reshape(-1, S.shape[1])
+        later = np.arange(1, k)
     done = 0
     while done < draws:
         B = min(batch, draws - done)
-        if pairs:
-            # the stream treated_units_batch draws for k = 2, l = 1
-            j = gen.integers(0, 2, size=(B, partition.n_groups))
-            pens = bound.penalty((j - 0.5) @ delta2)
+        slots = treated_slots(G, k, l, gen, B)
 
-            def treated(b, j=j):
-                return groups[rows, j[b]][:, None]
+        def treated(b, slots=slots):
+            return np.take_along_axis(groups, slots[b], axis=1)
+
+        if S is None:
+            pens = [bound.penalty(assignment_matrix_from_treated(treated(b)[None], n)[0])
+                    for b in range(B)]
         else:
-            idx = treated_units_batch(groups, partition.l, gen, B)
-            if S is None:
-                dmat = assignment_matrix_from_treated(idx, n)
-                pens = [bound.penalty(dmat[b]) for b in range(B)]
+            if l == 1:
+                mask = slots == later
             else:
-                s1 = S[idx].sum(axis=(1, 2))
-                T = np.sqrt(n) * (s1 / (n * vard) - colsum / (n * (1.0 - p)))
-                pens = bound.penalty(T)
-            treated = idx.__getitem__
+                # an equality compare would take B * n * l bytes for large groups
+                mask = np.zeros((B, G, k), dtype=bool)
+                np.put_along_axis(mask, slots, True, axis=2)
+                mask = mask[:, :, 1:]
+            pens = bound.penalty((mask - p).reshape(B, -1) @ diff)
         yield np.asarray(pens, dtype=np.float64), treated
         done += B
 
 
-def rerandomize(partition, h, region, rng, max_draws=100_000, keep_trace=False):
+def rerandomize(partition, h, region, rng, max_draws=100_000):
     """Redraw within-group assignments until the balance statistic lands in
     the acceptance region.
 
     Returns the accepted AssignmentDraw (1-based draw_index). If max_draws
     is exhausted, returns the draw with the smallest penalty, flagged
-    accepted=False. With keep_trace=True, returns (draw, trace) where trace
-    is a list of (draw_index, penalty, accepted).
+    accepted=False. The draw's ``penalties`` holds the penalty of every draw
+    scored, in draw order: up to the accepted draw, or all max_draws.
     """
     if max_draws < 1:
         raise ConfigError("max_draws must be >= 1")
@@ -651,34 +644,23 @@ def rerandomize(partition, h, region, rng, max_draws=100_000, keep_trace=False):
 
     n = partition.n
     bound = _bind(region, partition, h)
-    trace = [] if keep_trace else None
-    best_pen = np.inf
-    best_treated = None
-    best_idx = 0
+    scored = []
+    best = (np.inf, 0, None)  # penalty, 1-based draw index, treated units
     done = 0
     for pens, treated in _scored_batches(bound, partition, gen, max_draws):
-        B = pens.size
-        hits = np.where(pens <= bound.threshold)[0]
-        stop = hits[0] if hits.size else B - 1
-        if keep_trace:
-            for b in range(stop + 1):
-                trace.append((done + b + 1, float(pens[b]), bool(pens[b] <= bound.threshold)))
-        upto = hits[0] if hits.size else B
-        bmin = int(np.argmin(pens[:upto])) if upto > 0 else 0
-        if upto > 0 and pens[bmin] < best_pen:
-            best_pen = float(pens[bmin])
-            best_treated = treated(bmin)
-            best_idx = done + bmin + 1
-        if hits.size:
-            b = int(hits[0])
-            d = assignment_matrix_from_treated(treated(b)[None], n)[0]
-            draw = AssignmentDraw(d=d, draw_index=done + b + 1, accepted=True,
-                                  penalty=float(pens[b]))
-            return (draw, trace) if keep_trace else draw
-        done += B
-    d = assignment_matrix_from_treated(best_treated[None], n)[0]
-    draw = AssignmentDraw(d=d, draw_index=best_idx, accepted=False, penalty=best_pen)
-    return (draw, trace) if keep_trace else draw
+        hits = np.flatnonzero(pens <= bound.threshold)
+        accepted = hits.size > 0
+        b = int(hits[0]) if accepted else int(np.argmin(pens))
+        if accepted or pens[b] < best[0]:
+            best = (float(pens[b]), done + b + 1, treated(b))
+        scored.append(pens[:b + 1] if accepted else pens)
+        if accepted:
+            break
+        done += pens.size
+    penalty, index, units = best
+    d = assignment_matrix_from_treated(units[None], n)[0]
+    return AssignmentDraw(d=d, draw_index=index, accepted=accepted, penalty=penalty,
+                          penalties=np.concatenate(scored))
 
 
 # region (de)serialization for the JSON design spec ------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from finestrat import (
+    AssignmentDraw,
     ConfigError,
     CovariateTable,
     ExperimentFrame,
@@ -122,6 +123,27 @@ def test_frame_validates_treated_count():
     table = CovariateTable(psi=np.zeros((4, 1)), h=None, w=None, x=None, ids=None)
     with pytest.raises(ValueError, match="does not match p"):
         ExperimentFrame(covariates=table, d=np.array([1, 1, 1, 0]), p=0.5)
+
+
+def test_stored_arrays_freeze_a_view_not_the_callers_array():
+    # arrays already of the stored dtype are kept without a copy; freezing
+    # them must not make the caller's own array read-only
+    h = np.random.default_rng(0).standard_normal((4, 2))
+    ids = np.arange(4)
+    y = np.arange(4.0)
+    g = np.arange(4, dtype=np.intp).reshape(2, 2)
+    rho = np.array([1, 0], dtype=np.intp)
+    d = np.array([1, 0, 0, 1], dtype=np.int8)
+    table = CovariateTable(psi=np.zeros((4, 1)), h=h, w=None, x=None, ids=ids)
+    frame = ExperimentFrame(covariates=table, d=d, p=0.5, y=y)
+    part = GroupPartition(groups=g, k=2, l=1, pairing=rho)
+    draw = AssignmentDraw(d=d)
+    for caller, stored in ((h, table.h), (ids, table.ids), (y, frame.y), (d, frame.d),
+                           (g, part.groups), (rho, part.pairing), (d, draw.d)):
+        assert caller.flags.writeable
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            stored[0] = 0
 
 
 def test_partition_validation():

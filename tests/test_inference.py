@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -177,6 +178,29 @@ def test_superpop_variance_zero_when_s_constant():
     comp = _components(*[np.zeros((1, 1))] * 5)
     v = superpop_variance(comp)
     assert v[0, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_superpop_variance_clipping_warns_above_tolerance():
+    # Var_n(s_hat) = diag(5, 0.5) and a correction of diag(0, 4c) leave
+    # v = diag(5, 0.5 - 4c): clipping its negative eigenvalue warns only when
+    # the clipped mass exceeds 1e-6 * trace(v)
+    r = np.sqrt(10.0)
+    s_hat = np.array([[r, 0.0], [-r, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    z = np.zeros((2, 2))
+
+    def components(c):
+        return VarianceComponents(v1=np.diag([0.0, c]), v0=z, v10=z, u1=z, u0=z,
+                                  psi_a=s_hat, s_hat=s_hat, p=0.5, n=4,
+                                  used_collapsed=False)
+
+    with pytest.warns(RuntimeWarning, match=r"eigenvalue clipping of 1\.000e-03"):
+        v = superpop_variance(components(0.12525))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        v_small = superpop_variance(components(0.125 + 2.5e-7))  # clips 1e-6 < 5e-6
+    for mat in (v, v_small):
+        assert np.linalg.eigvalsh(mat).min() >= -1e-12
+        np.testing.assert_allclose(mat, np.diag([5.0, 0.0]), atol=1e-12)
 
 
 def test_superpop_neyman_cross_check_complete_randomization():

@@ -388,8 +388,9 @@ def test_exhaustion_returns_flagged_best():
 def test_trace_records_every_draw():
     part = _pairs(8)
     h = np.random.default_rng(19).standard_normal((8, 2))
-    draw, trace = rerandomize(part, h, MahalanobisRegion(alpha=0.25), RngSpec(20),
-                              keep_trace=True)
+    draw = rerandomize(part, h, MahalanobisRegion(alpha=0.25), RngSpec(20))
+    threshold = chi2_threshold(2, 0.25)
+    trace = [(i, pen, bool(pen <= threshold)) for i, pen in enumerate(draw.penalties, 1)]
     assert len(trace) == draw.draw_index
     assert trace[-1][2] is True
     assert all(not t[2] for t in trace[:-1])
@@ -432,7 +433,8 @@ def test_calibrate_threshold_checks_h_like_rerandomize():
 
 @pytest.mark.parametrize("k,l", [(3, 1), (4, 2)])
 def test_calibrate_threshold_hits_target_rate_larger_groups(k, l):
-    # groups other than matched pairs score draws by the gather-sum path
+    # groups other than matched pairs go through the same within-group
+    # difference kernel as pairs; the calibrated rate checks it end to end
     n = 300
     h = np.random.default_rng(21).standard_normal((n, 4))
     part = GroupPartition(groups=np.arange(n).reshape(-1, k), k=k, l=l)
@@ -443,17 +445,55 @@ def test_calibrate_threshold_hits_target_rate_larger_groups(k, l):
     assert abs(emp - 0.2) < 0.03
 
 
-# -- matched-pair kernel against the treated_units_batch reference ----------
+# -- scoring kernel against a gather-sum reference on the pinned stream -----
+
+
+def _parent_treated_units_batch(groups, l, gen, size):
+    """Frozen copy of the original treated_units_batch: a partial
+    Fisher-Yates shuffle of each group's slots with l swap rounds, building
+    the permutation for every l. It pins the generator stream."""
+    groups = np.asarray(groups)
+    G, k = groups.shape
+    perm = np.broadcast_to(np.arange(k), (size, G, k)).copy()
+    bi = np.arange(size)[:, None]
+    gi = np.arange(G)[None, :]
+    for t in range(l):
+        j = gen.integers(t, k, size=(size, G))
+        tmp = perm[bi, gi, j]
+        perm[bi, gi, j] = perm[:, :, t]
+        perm[:, :, t] = tmp
+    pos = perm[:, :, :l]
+    return np.take_along_axis(np.broadcast_to(groups, (size, G, k)), pos, axis=2)
+
+
+# (n, k, l) shapes: pairs, larger groups, and one group of all units
+_KERNEL_SHAPES = [(400, 2, 1), (399, 3, 1), (400, 4, 2), (400, 4, 3), (60, 60, 30)]
+
+
+def _random_partition(n, k, l, seed):
+    return GroupPartition(groups=np.random.default_rng(seed).permutation(n).reshape(-1, k),
+                          k=k, l=l)
+
+
+def test_treated_units_batch_keeps_the_pinned_stream():
+    for n, k, l in _KERNEL_SHAPES + [(300, 10, 7), (300, 300, 150)]:
+        groups = _random_partition(n, k, l, 46).groups
+        for size in (1, 7, 512):
+            gen, ref_gen = RngSpec(47, size).generator(), RngSpec(47, size).generator()
+            np.testing.assert_array_equal(treated_units_batch(groups, l, gen, size),
+                                          _parent_treated_units_batch(groups, l, ref_gen, size))
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
 def _reference_batches(region, part, h, gen, draws):
-    """(penalties, treated) per 512-draw batch, from treated_units_batch and
+    """(penalties, treated) per 512-draw batch, from the pinned stream and
     the gather-sum statistic T = sqrt(n)(mean_1 - mean_0)."""
     bound = region.bind(h, part, part.p)
     S = h if bound.stats is None else bound.stats
     n, p = part.n, part.p
     for start in range(0, draws, 512):
-        treated = treated_units_batch(part.groups, part.l, gen, min(512, draws - start))
+        treated = _parent_treated_units_batch(part.groups, part.l, gen,
+                                              min(512, draws - start))
         s1 = S[treated].sum(axis=(1, 2))
         T = np.sqrt(n) * (s1 / (n * p * (1 - p)) - S.sum(axis=0) / (n * (1 - p)))
         yield bound.penalty(T), treated
@@ -486,16 +526,23 @@ def _feasible_gmm_region():
                      base=MahalanobisRegion(alpha=0.5), feasible=True)
 
 
-@pytest.mark.parametrize("region", [
-    MahalanobisRegion(alpha=0.5),
-    PolarRegion.rectangle(np.array([-0.5, 0.2]), np.array([0.5, 1.5]), eps=1.0),
-    _feasible_gmm_region(),
-], ids=["mahalanobis", "polar", "feasible-gmm"])
-def test_pair_kernel_penalties_and_stream_match_reference(region):
-    n, draws = 400, 1100  # two full batches and a partial one
+_KERNEL_REGIONS = [
+    ("mahalanobis", MahalanobisRegion(alpha=0.5)),
+    ("polar", PolarRegion.rectangle(np.array([-0.5, 0.2]), np.array([0.5, 1.5]), eps=1.0)),
+    ("feasible-gmm", _feasible_gmm_region()),
+]
+
+
+@pytest.mark.parametrize("region,shape", [
+    # matched pairs keep the bare region id
+    pytest.param(region, (n, k, l), id=name if k == 2 else f"{name}-n{n}k{k}l{l}")
+    for n, k, l in _KERNEL_SHAPES for name, region in _KERNEL_REGIONS
+])
+def test_pair_kernel_penalties_and_stream_match_reference(region, shape):
+    n, k, l = shape
+    draws = 1100  # two full batches and a partial one
     h = np.random.default_rng(40).standard_normal((n, 2))
-    part = GroupPartition(groups=np.random.default_rng(41).permutation(n).reshape(-1, 2),
-                          k=2, l=1)
+    part = _random_partition(n, k, l, 41)
     gen, ref_gen = RngSpec(42).generator(), RngSpec(42).generator()
     pens = _batch_penalties(region, part, h, gen, draws)
     ref = np.concatenate([p for p, _ in _reference_batches(region, part, h, ref_gen, draws)])
@@ -503,25 +550,44 @@ def test_pair_kernel_penalties_and_stream_match_reference(region):
     assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [400, 10_000])
+def test_pair_kernel_is_the_sign_gemm_exactly(n):
+    # at k = 2 the kernel is the matched-pair sign GEMM, bit for bit:
+    # T = (j - 1/2) @ ((4 / sqrt(n)) (S_1 - S_0)) with j = integers(0, 2)
+    h = np.random.default_rng(48).standard_normal((n, 3))
+    part = _random_partition(n, 2, 1, 49)
+    region = PolarRegion.ball(3, 1.0)
+    delta2 = (4.0 / np.sqrt(n)) * (h[part.groups[:, 1]] - h[part.groups[:, 0]])
+    ref_gen = RngSpec(50).generator()
+    ref = np.concatenate([
+        region.penalty((ref_gen.integers(0, 2, size=(B, n // 2)) - 0.5) @ delta2)
+        for B in (512, 512, 76)
+    ])
+    gen = RngSpec(50).generator()
+    np.testing.assert_array_equal(_batch_penalties(region, part, h, gen, 1100), ref)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
 def test_pair_kernel_rerandomize_matches_reference():
     n = 60
     h = np.random.default_rng(43).standard_normal((n, 3))
-    part = GroupPartition(groups=np.random.default_rng(44).permutation(n).reshape(-1, 2),
-                          k=2, l=1)
     region = MahalanobisRegion(alpha=0.005)
-    exhausted = late = 0
-    for seed in range(200):
-        # every fifth seed gets a budget that is often exhausted
-        max_draws = 300 if seed % 5 == 0 else 1500
-        gen, ref_gen = RngSpec(45, seed).generator(), RngSpec(45, seed).generator()
-        draw = rerandomize(part, h, region, gen, max_draws=max_draws)
-        index, d, accepted = _reference_rerandomize(region, part, h, ref_gen, max_draws)
-        assert (draw.draw_index, draw.accepted) == (index, accepted)
-        np.testing.assert_array_equal(draw.d, d)
-        assert gen.bit_generator.state == ref_gen.bit_generator.state
-        exhausted += not accepted
-        late += accepted and index > 512
-    assert exhausted >= 5 and late >= 5
+    for k, l in ((2, 1), (4, 2)):
+        part = _random_partition(n, k, l, 44)
+        exhausted = late = 0
+        for seed in range(200):
+            # every fifth seed gets a budget that is often exhausted
+            max_draws = 300 if seed % 5 == 0 else 1500
+            gen, ref_gen = RngSpec(45, seed).generator(), RngSpec(45, seed).generator()
+            draw = rerandomize(part, h, region, gen, max_draws=max_draws)
+            index, d, accepted = _reference_rerandomize(region, part, h, ref_gen, max_draws)
+            assert (draw.draw_index, draw.accepted) == (index, accepted)
+            np.testing.assert_array_equal(draw.d, d)
+            assert gen.bit_generator.state == ref_gen.bit_generator.state
+            assert draw.penalties.size == (index if accepted else max_draws)
+            exhausted += not accepted
+            late += accepted and index > 512
+        assert exhausted >= 5 and late >= 5, (k, l)
 
 
 def test_rerandomize_reproducible():
