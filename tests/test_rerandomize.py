@@ -448,7 +448,7 @@ def test_calibrate_threshold_hits_target_rate_larger_groups(k, l):
 # -- scoring kernel against a gather-sum reference on the pinned stream -----
 
 
-def _parent_treated_units_batch(groups, l, gen, size):
+def _pinned_treated_units_batch(groups, l, gen, size):
     """Frozen copy of the original treated_units_batch: a partial
     Fisher-Yates shuffle of each group's slots with l swap rounds, building
     the permutation for every l. It pins the generator stream."""
@@ -481,7 +481,7 @@ def test_treated_units_batch_keeps_the_pinned_stream():
         for size in (1, 7, 512):
             gen, ref_gen = RngSpec(47, size).generator(), RngSpec(47, size).generator()
             np.testing.assert_array_equal(treated_units_batch(groups, l, gen, size),
-                                          _parent_treated_units_batch(groups, l, ref_gen, size))
+                                          _pinned_treated_units_batch(groups, l, ref_gen, size))
             assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
@@ -492,7 +492,7 @@ def _reference_batches(region, part, h, gen, draws):
     S = h if bound.stats is None else bound.stats
     n, p = part.n, part.p
     for start in range(0, draws, 512):
-        treated = _parent_treated_units_batch(part.groups, part.l, gen,
+        treated = _pinned_treated_units_batch(part.groups, part.l, gen,
                                               min(512, draws - start))
         s1 = S[treated].sum(axis=(1, 2))
         T = np.sqrt(n) * (s1 / (n * p * (1 - p)) - S.sum(axis=0) / (n * (1 - p)))
