@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .core import ConfigError, SingularityError, cov_n, horvitz_thompson_weights
 from .gmm import solve_gmm
@@ -43,7 +42,10 @@ def _gram_cholesky(gram, cond, names):
             return chol
     except np.linalg.LinAlgError:
         pass
-    # column-pivoted QR of the unit-diagonal Gram names the collinear columns
+    # column-pivoted QR of the unit-diagonal Gram names the collinear columns;
+    # scipy.linalg loads here, on the error path only, to keep imports fast
+    import scipy.linalg as sla
+
     s = 1.0 / np.sqrt(np.diag(gram))
     r, piv = sla.qr(gram * s[:, None] * s, pivoting=True, mode="r")
     diag = np.abs(np.diag(r))

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sstats
+from scipy.special import ndtri
 
 from .core import ConfigError, EstimationError, cov_n, horvitz_thompson_weights
 
@@ -167,7 +167,7 @@ def superpop_variance(components, main_text_scaling=False):
 
 
 def normal_quantile(q):
-    return float(_sstats.norm.ppf(q))
+    return float(ndtri(q))
 
 
 @dataclass(frozen=True)

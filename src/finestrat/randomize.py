@@ -31,19 +31,19 @@ def treated_slots(G, k, l, gen, size):
     its k slots (l swap rounds, round t drawing gen.integers(t, k) for every
     draw and group), which is exactly uniform over size-l subsets. On the
     identity permutation round 0's draw is slot 0's pick, so the permutation
-    is built only when l >= 2.
+    is built only when l >= 2: one (size * G, k) row per group and draw, in
+    the smallest unsigned dtype that holds k - 1.
     """
     if l == 1:
         return gen.integers(0, k, size=(size, G))[:, :, None]
-    perm = np.broadcast_to(np.arange(k), (size, G, k)).copy()
-    bi = np.arange(size)[:, None]
-    gi = np.arange(G)[None, :]
+    perm = np.tile(np.arange(k, dtype=np.min_scalar_type(k - 1)), (size * G, 1))
+    rows = np.arange(size * G)
     for t in range(l):
-        j = gen.integers(t, k, size=(size, G))
-        tmp = perm[bi, gi, j]
-        perm[bi, gi, j] = perm[:, :, t]
-        perm[:, :, t] = tmp
-    return perm[:, :, :l]
+        j = gen.integers(t, k, size=size * G)
+        tmp = perm[rows, j]
+        perm[rows, j] = perm[:, t]
+        perm[:, t] = tmp
+    return perm[:, :l].reshape(size, G, l)
 
 
 def treated_units_batch(groups, l, gen, size):

@@ -30,8 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy import stats as _sstats
-from scipy.special import expit
+from scipy.special import expit, gammaincinv
 
 from .core import (
     ConfigError,
@@ -113,7 +112,12 @@ def chi2_threshold(r, alpha):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     if alpha > 1.0 - 1e-6:
         raise ConfigError("alpha too close to 1; threshold would be unbounded")
-    return float(_sstats.chi2.ppf(alpha, df=r))
+    return _chi2_quantile(alpha, r)
+
+
+def _chi2_quantile(q, df):
+    # the chi-square quantile exactly as SciPy's chi2.ppf computes it, from scipy.special
+    return float(2.0 * gammaincinv(df / 2.0, q))
 
 
 def _conjugate_exponent(p):
@@ -331,8 +335,13 @@ def pilot_wald_region(gamma_pilot, sigma_pilot, m, alpha, eps):
     gamma_pilot = np.asarray(gamma_pilot, dtype=np.float64).ravel()
     if m < 1:
         raise ConfigError("pilot size m must be >= 1")
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"pilot-wald alpha must lie in (0, 1), got {alpha}")
     root = psd_root(sigma_pilot, label="pilot covariance")
-    c_alpha = float(_sstats.chi2.ppf(1.0 - alpha, df=gamma_pilot.size))
+    c_alpha = _chi2_quantile(1.0 - alpha, gamma_pilot.size)
+    if not np.isfinite(c_alpha):
+        raise ConfigError(f"pilot-wald alpha {alpha} too close to 0; "
+                          "the Wald radius would be unbounded")
     U = np.sqrt(c_alpha / m) * root
     return PolarRegion(gamma_bar=gamma_pilot, U=U, p_exponent=2.0, eps=eps, shape="pilot-wald")
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +181,28 @@ def test_odd_group_count_exit_2_without_output(workspace, capsys):
         assert rc == 2
         assert "odd number of groups (25)" in capsys.readouterr().err
         assert not list(tmp_path.glob("out.csv*"))
+
+
+@pytest.mark.parametrize("alpha,message", [
+    (0.0, "pilot-wald alpha must lie in (0, 1), got 0.0"),
+    (1.0, "pilot-wald alpha must lie in (0, 1), got 1.0"),
+    (1.5, "pilot-wald alpha must lie in (0, 1), got 1.5"),
+    (-0.2, "pilot-wald alpha must lie in (0, 1), got -0.2"),
+    (1e-17, "pilot-wald alpha 1e-17 too close to 0"),
+])
+def test_pilot_wald_alpha_outside_unit_interval_exit_2(workspace, capsys, alpha, message):
+    # 0, 1.5, -0.2 and 1e-17 (1 - alpha rounds to 1) used to end in an SVD
+    # traceback, and 1 in a singularity error
+    tmp_path, cov, spec_path, _ = workspace
+    spec = json.loads(spec_path.read_text())
+    spec["region"] = {"shape": "pilot-wald", "gamma_pilot": [0.5, 0.0],
+                      "sigma_pilot": [[1, 0], [0, 1]], "m": 50, "alpha": alpha, "eps": 1.0}
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "out.csv"
+    rc = main(["assign", "--spec", str(spec_path), "--data", str(cov), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out.csv*"))
 
 
 def test_assign_estimate_without_psi(workspace):
@@ -439,3 +465,15 @@ def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, mes
     capsys.readouterr()
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_import_loads_neither_scipy_stats_nor_linalg():
+    # scipy.stats and scipy.linalg take most of a command's start-up; the
+    # quantiles come from scipy.special and scipy.linalg loads on an error path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, finestrat.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.stats', 'scipy.linalg'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

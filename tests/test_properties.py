@@ -125,6 +125,39 @@ def test_stratified_draw_exact_counts_always():
             assert np.array_equal(counts, np.full(7, l))
 
 
+finite_or_none = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(data=st.data(), k=st.integers(min_value=2, max_value=5),
+       G=st.sampled_from([2, 4, 6, 8]), seed=st.integers(min_value=0, max_value=10_000),
+       homogeneity=finite_or_none, paired=st.booleans(), pairing_stat=finite_or_none)
+@settings(max_examples=25, deadline=None)
+def test_partition_json_roundtrip_bit_exact(data, k, G, seed, homogeneity, paired, pairing_stat):
+    gen = np.random.default_rng(seed)
+    l = data.draw(st.integers(min_value=1, max_value=k - 1))
+    pairing = None
+    if paired:  # a random fixed-point-free involution on the groups
+        order = gen.permutation(G)
+        pairing = np.empty(G, dtype=np.intp)
+        pairing[order[0::2]], pairing[order[1::2]] = order[1::2], order[0::2]
+    part = GroupPartition(groups=gen.permutation(k * G).reshape(G, k), k=k, l=l,
+                          homogeneity=homogeneity, pairing=pairing,
+                          pairing_stat=pairing_stat if paired else None)
+    text = json.dumps(part.to_json_dict())
+    back = GroupPartition.from_json_dict(json.loads(text))
+    assert (back.k, back.l) == (k, l)
+    assert back.groups.dtype == part.groups.dtype
+    assert back.groups.tobytes() == part.groups.tobytes()
+    assert (back.pairing is None) == (pairing is None)
+    if paired:
+        assert back.pairing.tobytes() == part.pairing.tobytes()
+    for got, want in ((back.homogeneity, part.homogeneity), (back.pairing_stat, part.pairing_stat)):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    assert json.dumps(back.to_json_dict()) == text
+
+
 ROLES = ("psi", "h", "w", "x")
 
 

@@ -25,6 +25,8 @@ from finestrat import (
     rerandomize,
     within_tuple_demean,
 )
+from finestrat.core import psd_root
+from finestrat.inference import normal_quantile
 from finestrat.randomize import (
     assignment_matrix_from_treated,
     draw_stratified,
@@ -141,6 +143,24 @@ def test_chi2_threshold_r1_oracle():
 def test_chi2_threshold_r2_closed_form():
     # chi-square with 2 df is exponential with mean 2
     assert chi2_threshold(2, 0.5) == pytest.approx(2.0 * math.log(2.0), rel=1e-12)
+
+
+QUANTILE_GRID = [1e-12, 1e-9, 1e-6, 0.002, 0.01, 0.05, 0.1, 0.25, 0.5,
+                 0.75, 0.9, 0.95, 0.975, 0.99, 0.998, 1 - 1e-6]
+
+
+def test_quantiles_equal_scipy_stats_bit_for_bit():
+    # the runtime quantiles come from scipy.special; scipy.stats is the reference
+    from scipy.stats import chi2, norm
+
+    for df in range(1, 41):
+        root = psd_root(np.eye(df))
+        for q in QUANTILE_GRID:
+            assert chi2_threshold(df, q) == float(chi2.ppf(q, df))
+            region = pilot_wald_region(np.zeros(df), np.eye(df), m=1, alpha=q, eps=1.0)
+            assert np.array_equal(region.U, np.sqrt(float(chi2.ppf(1.0 - q, df))) * root)
+    for q in QUANTILE_GRID + [1e-300, 1e-100, 1 - 1e-12]:
+        assert normal_quantile(q) == float(norm.ppf(q))
 
 
 def test_chi2_threshold_alpha_guard():
