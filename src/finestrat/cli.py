@@ -113,7 +113,7 @@ def cmd_assign(args):
     }
     manifest_path = args.manifest or args.out + ".manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
+        json.dump(manifest, fh)  # compact: groups, pairing and d have n entries
     if not draw.accepted:
         print(
             f"warning: acceptance region not reached in {max_draws} draws; "

@@ -8,7 +8,9 @@ should shrink as n grows for continuous stratification variables.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -36,60 +38,122 @@ class MatchConfig:
             object.__setattr__(self, "psi_weights", w)
 
 
-def _pairwise_sq_dists(points):
-    """(|a|^2 + |b|^2) - 2 a.b for all pairs, overwriting the Gram matrix
-    in place by blocks of 256 rows so that one n x n matrix is held."""
-    sq = np.einsum("id,id->i", points, points)
-    d = points @ points.T
-    for start in range(0, d.shape[0], 256):
-        rows = d[start:start + 256]
-        rows *= 2.0  # exact, so rows ends as (sq_i + sq_j) - (2 a.b)
-        np.subtract(sq[start:start + 256, None] + sq[None, :], rows, out=rows)
-    np.maximum(d, 0.0, out=d)
-    return d
+def _ranked(points, rows, idx, alive, bound):
+    """Sort each row's tree neighbours idx by (exact squared distance, index),
+    keeping the entries below the row's bound and dropping the row itself
+    and matched points. The squares are added column by column in order, so
+    every call gives the same bits."""
+    ex = np.square(points[rows, None, 0] - points[idx, 0])
+    for c in range(1, points.shape[1]):
+        ex += np.square(points[rows, None, c] - points[idx, c])
+    ex[(idx == rows[:, None]) | (alive[idx] == 0)] = np.inf
+    order = np.arange(rows.size)[:, None], np.lexsort((idx, ex))
+    idx, ex = idx[order], ex[order]
+    kept = (ex < bound).sum(axis=1).tolist()
+    return [r[:c] for r, c in zip(idx, kept)], [r[:c] for r, c in zip(ex, kept)]
 
 
-def _greedy_groups(points, k, what="units"):
-    """Repeatedly take the unmatched unit farthest from its nearest unmatched
-    neighbor and group it with its k-1 nearest unmatched neighbors.
-    Distance ties break toward the lowest index. `what` names the points
-    (units or group centroids) in the size-limit error."""
+def _trusted(r):
+    """A bound below which an exact squared distance is less than that of
+    every point a tree finds farther than r: r**2 less 1e-12 relative for
+    the tree's rounding."""
+    return r * r * (1.0 - 1e-12)
+
+
+def _greedy_groups(points, k):
+    """Repeatedly take the unmatched point farthest from its nearest unmatched
+    neighbour and group it with its k-1 nearest unmatched neighbours, by
+    exact squared distance. Distance ties break toward the lowest index.
+
+    Each point keeps its nearest points from a k-d tree (Friedman, Bentley &
+    Finkel 1977) in `_ranked` order and a pointer to the first unmatched one.
+    Only points whose nearest neighbour was just matched move their pointer;
+    one that runs off its list queries a tree of the unmatched points again,
+    which is rebuilt each time their count halves."""
+    # imported here: scipy.spatial adds ~0.15 s to the start-up of every command
+    from scipy.spatial import cKDTree
+
     n = points.shape[0]
-    if n * n * 8 > 2 << 30:
-        raise ConfigError(
-            f"greedy matching of {n} {what} would hold an {n} x {n} distance "
-            f"matrix of {n * n * 8} bytes, over the {2 << 30}-byte limit"
-        )
-    dist = _pairwise_sq_dists(points)
-    np.fill_diagonal(dist, np.inf)
-    alive = np.ones(n, dtype=bool)
-    nn_idx = np.argmin(dist, axis=1)
-    nn_dist = dist[np.arange(n), nn_idx]
+    if n <= k:
+        return np.arange(n, dtype=np.intp).reshape(-1, k)
+    if points.shape[1] == 0:
+        points = np.zeros((n, 1))  # no columns: every distance is 0
+    alive = bytearray(b"\x01") * n
+    alive_np = np.frombuffer(alive, dtype=np.uint8)
+    tree, where = cKDTree(points), np.arange(n)
+    K = min(k + 4, n)
+    dist, idx = tree.query(points, K)
+    cand, cdist = _ranked(points, where, idx, alive_np,
+                          np.inf if K == n else _trusted(dist[:, -1:]))
+
+    def refill(i, need):
+        """List i's nearest unmatched points again, `need` of them or all."""
+        K = 4 * need + 12
+        while True:
+            K = min(K, where.size)
+            dist, idx = tree.query(points[i], K)
+            bound = np.inf
+            if K < where.size:
+                # every point as near as the K-th, and a margin for rounding;
+                # a point farther than r = 0 differs in some column
+                r = dist[-1] * (1.0 + 1e-9)
+                idx = tree.query_ball_point(points[i], r)
+                bound = max(_trusted(r), np.nextafter(0.0, 1.0))
+            (row,), (rdist,) = _ranked(points, np.array([i]), where[np.array(idx)][None, :],
+                                       alive_np, bound)
+            if len(row) >= need or K == where.size:
+                cand[i], cdist[i], ptr[i] = row, rdist, 0
+                return
+            K *= 2
+
+    ptr = [0] * n
+    for i in range(n):
+        if not len(cand[i]):  # ties at the end of the list hide the nearest
+            refill(i, 1)
+    nn = [row[0] for row in cand]
+    nnd = [float(row[0]) for row in cdist]
+    rev = [[] for _ in range(n)]
+    for i, j in enumerate(nn):
+        rev[j].append(i)
+    heap = [(-d, i) for i, d in enumerate(nnd)]
+    heapq.heapify(heap)
+
     groups = []
     remaining = n
-    while remaining > 0:
-        if remaining == k:
-            groups.append(np.where(alive)[0])
-            break
-        masked = np.where(alive, nn_dist, -np.inf)
-        anchor = int(np.argmax(masked))
-        row = np.where(alive, dist[anchor], np.inf)
-        row[anchor] = np.inf
-        neighbors = np.argpartition(row, k - 1)[: k - 1]
-        neighbors = neighbors[np.lexsort((neighbors, row[neighbors]))]
-        members = np.concatenate(([anchor], neighbors))
+    while remaining > k:
+        key, a = heapq.heappop(heap)
+        if not alive[a] or nnd[a] != -key:
+            continue  # matched, or its nearest neighbour moved away since
+        near = list(islice((j for j in islice(cand[a], ptr[a], None) if alive[j]), k - 1))
+        if len(near) < k - 1:
+            refill(a, k - 1)
+            near = list(cand[a][:k - 1])
+        members = [a] + near
+        for j in members:
+            alive[j] = 0
         groups.append(members)
-        alive[members] = False
         remaining -= k
-        # only rows whose recorded nearest neighbor was just removed rescan;
-        # every alive row's neighbor was alive before this group was taken
-        stale = np.where(alive & ~alive[nn_idx])[0]
-        if stale.size:
-            cols = np.where(alive)[0]
-            sub = dist[np.ix_(stale, cols)]
-            pos = np.argmin(sub, axis=1)
-            nn_idx[stale] = cols[pos]
-            nn_dist[stale] = sub[np.arange(stale.size), pos]
+        if 2 * remaining <= where.size:
+            where = np.flatnonzero(alive_np)
+            tree = cKDTree(points[where])
+        for j in members:
+            for i in rev[j]:
+                if not alive[i] or nn[i] != j:
+                    continue
+                row, p = cand[i], ptr[i]
+                while p < len(row) and not alive[row[p]]:
+                    p += 1
+                if p == len(row):
+                    refill(i, 1)
+                    p = 0
+                ptr[i] = p
+                nn[i], d = cand[i][p], float(cdist[i][p])
+                rev[nn[i]].append(i)
+                if d != nnd[i]:
+                    nnd[i] = d
+                    heapq.heappush(heap, (-d, i))
+            rev[j] = None
+    groups.append(np.flatnonzero(alive_np).tolist())
     return np.asarray(groups, dtype=np.intp)
 
 
@@ -169,7 +233,7 @@ def pair_groups_by_centroid(partition, psi):
     if G % 2 != 0:
         raise ConfigError(f"cannot pair an odd number of groups ({G})")
     centroids = psi[partition.groups].mean(axis=1)
-    pairs = _greedy_groups(centroids, 2, what="group centroids")
+    pairs = _greedy_groups(centroids, 2)
     rho = np.empty(G, dtype=np.intp)
     rho[pairs[:, 0]] = pairs[:, 1]
     rho[pairs[:, 1]] = pairs[:, 0]

@@ -50,7 +50,9 @@ def test_assign_writes_groups_and_manifest(workspace, capsys):
     assert len(rows) == 100
     assert sum(int(r["d"]) for r in rows) == 50
     assert len({r["group"] for r in rows}) == 50
-    manifest = json.loads((tmp_path / "assign.csv.manifest.json").read_text())
+    text = (tmp_path / "assign.csv.manifest.json").read_text()
+    assert text.count("\n") < 10  # n-long arrays are not written one element a line
+    manifest = json.loads(text)
     assert manifest["accepted"] is True
     assert manifest["draws_to_accept"] >= 1
     assert manifest["partition"]["homogeneity"] >= 0.0
@@ -469,11 +471,12 @@ def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, mes
 
 def test_cli_import_loads_neither_scipy_stats_nor_linalg():
     # scipy.stats and scipy.linalg take most of a command's start-up; the
-    # quantiles come from scipy.special and scipy.linalg loads on an error path
+    # quantiles come from scipy.special and scipy.linalg loads on an error
+    # path. scipy.spatial, for the k-d tree, loads only when matching runs
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, finestrat.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.stats', 'scipy.linalg'))))")
+            "if m.startswith(('scipy.stats', 'scipy.linalg', 'scipy.spatial'))))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

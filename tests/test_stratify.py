@@ -10,7 +10,6 @@ from finestrat import (
     match_k_tuples,
     pair_groups_by_centroid,
 )
-from finestrat.stratify import _pairwise_sq_dists
 
 
 def _groups_as_sets(partition):
@@ -143,8 +142,11 @@ def test_random_within_cell_method():
 
 
 def _greedy_reference(points, k):
-    """Greedy matching recomputing every nearest alive neighbor each step."""
-    dist = _pairwise_sq_dists(points)
+    """Greedy matching recomputing every nearest alive neighbor each step, on
+    exact squared distances summed column by column."""
+    dist = np.zeros((points.shape[0],) * 2)
+    for c in range(points.shape[1]):
+        dist += np.square(points[:, None, c] - points[None, :, c])
     alive = list(range(points.shape[0]))
     groups = []
     while len(alive) > k:
@@ -166,41 +168,48 @@ def test_greedy_matches_full_rescan_reference(k):
         np.testing.assert_array_equal(part.groups, _greedy_reference(psi, k))
 
 
-def test_centroid_pairing_size_guard_counts_centroids(monkeypatch):
-    # 16386 sorted-1d pairs: the centroid distance matrix would exceed the
-    # 2 GiB limit, and the guard must refuse before allocating it
-    def no_matrix(points):
-        raise AssertionError("n x n distance matrix allocated")
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_greedy_ties_break_toward_the_lowest_index(k):
+    # 12k rows on a 3 x 3 grid: every point has many neighbors at the same
+    # distance, so the order among tied neighbors decides nearly every group
+    for seed in range(40):
+        psi = np.random.default_rng(seed).integers(0, 3, size=(12 * k, 2)).astype(float)
+        part = match_k_tuples(psi, MatchConfig(k, 1, method="greedy-nn"))
+        np.testing.assert_array_equal(part.groups, _greedy_reference(psi, k))
 
+
+def _traced_peak(fn, *args):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_greedy_matching_holds_no_distance_matrix():
+    # an n x n float64 matrix would be 3.2 GB at n = 20000
+    n = 20000
+    psi = np.random.default_rng(3).standard_normal((n, 3))
+    part, peak = _traced_peak(match_k_tuples, psi, MatchConfig(2, 1, method="greedy-nn"))
+    assert np.array_equal(np.sort(part.groups.ravel()), np.arange(n))
+    assert peak < 0.01 * n * n * 8
+
+
+def test_centroid_pairing_of_16386_centroids_holds_no_matrix():
+    # 16386 equally spaced centroids, each with two neighbors at the same
+    # distance; their n x n float64 matrix would be 2.1 GB
     G = 16386
     psi = np.arange(2.0 * G)
     part = match_k_tuples(psi, MatchConfig(2, 1, method="sorted-1d"))
-    monkeypatch.setattr("finestrat.stratify._pairwise_sq_dists", no_matrix)
-    with pytest.raises(ConfigError, match=rf"of {G} group centroids .* {G * G * 8} bytes"):
-        pair_groups_by_centroid(part, psi)
-
-
-def test_pairwise_sq_dists_blocked_is_the_one_line_formula():
-    # sizes below, just above and well past one 256-row block
-    for n, d in ((1, 1), (255, 2), (257, 3), (601, 5)):
-        points = np.random.default_rng(n).standard_normal((n, d)) * 3.0 + 1.0
-        sq = np.einsum("id,id->i", points, points)
-        ref = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T), 0.0)
-        np.testing.assert_array_equal(_pairwise_sq_dists(points), ref)
-
-
-def test_pairwise_sq_dists_holds_one_matrix():
-    import tracemalloc
-
-    n = 2000
-    points = np.random.default_rng(3).standard_normal((n, 3))
-    tracemalloc.start()
-    try:
-        _pairwise_sq_dists(points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * n * n * 8
+    paired, peak = _traced_peak(pair_groups_by_centroid, part, psi)
+    rho = paired.pairing
+    np.testing.assert_array_equal(rho[rho], np.arange(G))
+    assert (rho != np.arange(G)).all()
+    assert np.isfinite(paired.pairing_stat)
+    assert peak < 0.01 * G * G * 8
 
 
 def _design_reference(psi, cfg, rng):
