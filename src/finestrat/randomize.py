@@ -23,27 +23,45 @@ class AssignmentDraw:
             object.__setattr__(self, "penalties", read_only(np.asarray(self.penalties)))
 
 
-def treated_slots(G, k, l, gen, size):
+def treated_slots(G, k, l, gen, size, rows):
     """Slots (0..k-1) treated in `size` independent stratified draws over G
-    groups of k units with l treated each, as a (size, G, l) array.
+    groups of k units with l treated each, yielded in draw order as chunks of
+    near-equal size: (B, G, l) arrays with B <= rows.
 
     Each group's treated slots come from a partial Fisher-Yates shuffle of
     its k slots (l swap rounds, round t drawing gen.integers(t, k) for every
-    draw and group), which is exactly uniform over size-l subsets. On the
-    identity permutation round 0's draw is slot 0's pick, so the permutation
-    is built only when l >= 2: one (size * G, k) row per group and draw, in
-    the smallest unsigned dtype that holds k - 1.
+    draw and group), which is exactly uniform over size-l subsets. The stream
+    is that of one integers call per round over all size * G (draw, group)
+    pairs, whatever `rows` is: consecutive calls continue one stream. On the
+    identity permutation round 0's draw is slot 0's pick, so for l = 1 each
+    chunk is drawn when it is reached, and a consumer that stops early must
+    still exhaust the iterator to leave `gen` where the whole draw would.
+    For l >= 2 every round spans all size draws, so the permutation is built
+    for all of them before the first chunk: one (size * G, k) row per group
+    and draw, in the smallest unsigned dtype that holds k - 1, swapped in
+    blocks of rows * G rows.
     """
+    chunks = -(-size // rows)
+    cuts = [size * c // chunks for c in range(chunks + 1)]
     if l == 1:
-        return gen.integers(0, k, size=(size, G))[:, :, None]
-    perm = np.tile(np.arange(k, dtype=np.min_scalar_type(k - 1)), (size * G, 1))
-    rows = np.arange(size * G)
+        for a, b in zip(cuts, cuts[1:]):
+            yield gen.integers(0, k, size=(b - a, G))[:, :, None]
+        return
+    perm = np.empty((size * G, k), dtype=np.min_scalar_type(k - 1))
+    perm[:] = np.arange(k)
+    step = rows * G
+    local = np.arange(min(step, size * G))
     for t in range(l):
-        j = gen.integers(t, k, size=size * G)
-        tmp = perm[rows, j]
-        perm[rows, j] = perm[:, t]
-        perm[:, t] = tmp
-    return perm[:, :l].reshape(size, G, l)
+        for start in range(0, size * G, step):
+            block = perm[start:start + step]
+            r = local[:block.shape[0]]
+            j = gen.integers(t, k, size=r.size)
+            tmp = block[r, j]
+            block[r, j] = block[:, t]
+            block[:, t] = tmp
+    slots = perm[:, :l].reshape(size, G, l)
+    for a, b in zip(cuts, cuts[1:]):
+        yield slots[a:b]
 
 
 def treated_units_batch(groups, l, gen, size):
@@ -51,7 +69,7 @@ def treated_units_batch(groups, l, gen, size):
     unit indices as a (size, G, l) array: the treated_slots draw looked up
     in each group's row of `groups`."""
     groups = np.asarray(groups)
-    slots = treated_slots(*groups.shape, l, gen, size)
+    (slots,) = treated_slots(*groups.shape, l, gen, size, size)
     return np.take_along_axis(groups[None], slots, axis=2)
 
 

@@ -567,6 +567,8 @@ def calibrate_threshold(region, partition, h, alpha, rng, draws=2000):
     region's threshold to the empirical alpha-quantile of its penalty."""
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    if draws < 1:
+        raise ConfigError("draws must be >= 1")
     gen = as_generator(rng)
     pens = _batch_penalties(region.with_threshold(np.inf), partition, h, gen, draws)
     return region.with_threshold(float(np.quantile(pens, alpha)))
@@ -585,18 +587,45 @@ def _bind(region, partition, h):
 def _batch_penalties(region, partition, h, gen, draws):
     """Penalties of `draws` fresh stratified draws."""
     bound = _bind(region, partition, h)
-    return np.concatenate([pens for pens, _ in _scored_batches(bound, partition, gen, draws)])
+    score = _scorer(bound, partition)
+    return np.concatenate([score(slots) for chunks in _slot_batches(bound, partition, gen, draws)
+                           for slots in chunks])
 
 
-def _scored_batches(bound, partition, gen, draws):
-    """Score `draws` fresh stratified draws in batches of 32 (assignment-based
-    regions) or 512 (stat-based regions). Yields (penalties, treated) per
-    batch, where treated(b) gives draw b's (G, l) treated unit indices.
+# bytes of work arrays the kernel may hold for one chunk of a batch
+_CHUNK_BYTES = 8 << 20
 
-    Each batch is one treated_slots draw, the stream of one
-    treated_units_batch call. A stat-based region scores it with one GEMM
-    over within-group differences, for every (k, l): with S = bound.stats and
-    mask[b, g, s] = 1 when draw b treats slot s of group g,
+
+def _slot_batches(bound, partition, gen, draws):
+    """Draw `draws` fresh stratified draws in batches of 32 (assignment-based
+    regions) or 512 (stat-based regions); yields each batch's treated_slots
+    iterator over chunks of its draws. Each iterator must be exhausted before
+    the next batch is drawn.
+
+    The batch is the unit of the generator stream: every batch is one
+    treated_units_batch call, whatever its chunks. The chunks bound the work
+    inside a batch to _CHUNK_BYTES, or one draw if that is more. Per group
+    and draw the scoring kernel holds int64 slot indices (8 bytes for l = 1,
+    8 l for the put_along_axis index at l >= 2), a bool mask (k) and the
+    float64 mask - p (8 (k - 1)), at most 9 k + 8 (l - 1) bytes. So memory
+    does not grow as 512 n: for l = 1 nothing spans the batch, and for
+    l >= 2 only the batch's one-byte-per-unit slot permutation does.
+    """
+    G, k = partition.groups.shape
+    l = partition.l
+    batch = 32 if bound.stats is None else 512
+    rows = max(1, _CHUNK_BYTES // (G * (9 * k + 8 * (l - 1))))
+    for start in range(0, draws, batch):
+        yield treated_slots(G, k, l, gen, min(batch, draws - start), rows)
+
+
+def _scorer(bound, partition):
+    """The function mapping a (B, G, l) chunk of treated slots to B penalties.
+
+    An assignment-based region rescores each draw's assignment vector. A
+    stat-based region scores the chunk with one GEMM over within-group
+    differences, for every (k, l): with S = bound.stats and mask[b, g, s] = 1
+    when draw b treats slot s of group g,
     T = sqrt(n)(mean_1 - mean_0) = sum_g sum_{s >= 1} (mask[b, g, s] - p)
         (S[groups[g, s]] - S[groups[g, 0]]) / (sqrt(n) p (1 - p)),
     as each group's mask - p sums to l - k p = 0. For matched pairs this is
@@ -607,33 +636,29 @@ def _scored_batches(bound, partition, gen, draws):
     G, k = groups.shape
     l, p = partition.l, partition.p
     S = bound.stats
-    batch = 32 if S is None else 512
-    if S is not None:
-        scale = 1.0 / (np.sqrt(n) * p * (1.0 - p))
-        diff = scale * (S[groups[:, 1:]] - S[groups[:, :1]]).reshape(-1, S.shape[1])
-        later = np.arange(1, k)
-    done = 0
-    while done < draws:
-        B = min(batch, draws - done)
-        slots = treated_slots(G, k, l, gen, B)
+    if S is None:
+        def score(slots):
+            treated = np.take_along_axis(groups[None], slots, axis=2)
+            return np.array([bound.penalty(d) for d in assignment_matrix_from_treated(treated, n)],
+                            dtype=np.float64)
 
-        def treated(b, slots=slots):
-            return np.take_along_axis(groups, slots[b], axis=1)
+        return score
+    scale = 1.0 / (np.sqrt(n) * p * (1.0 - p))
+    diff = scale * (S[groups[:, 1:]] - S[groups[:, :1]]).reshape(-1, S.shape[1])
+    later = np.arange(1, k)
 
-        if S is None:
-            pens = [bound.penalty(assignment_matrix_from_treated(treated(b)[None], n)[0])
-                    for b in range(B)]
+    def score(slots):
+        B = slots.shape[0]
+        if l == 1:
+            mask = slots == later
         else:
-            if l == 1:
-                mask = slots == later
-            else:
-                # an equality compare would take B * n * l bytes for large groups
-                mask = np.zeros((B, G, k), dtype=bool)
-                np.put_along_axis(mask, slots, True, axis=2)
-                mask = mask[:, :, 1:]
-            pens = bound.penalty((mask - p).reshape(B, -1) @ diff)
-        yield np.asarray(pens, dtype=np.float64), treated
-        done += B
+            # an equality compare would take B * n * l bytes for large groups
+            mask = np.zeros((B, G, k), dtype=bool)
+            np.put_along_axis(mask, slots, True, axis=2)
+            mask = mask[:, :, 1:]
+        return np.asarray(bound.penalty((mask - p).reshape(B, -1) @ diff), dtype=np.float64)
+
+    return score
 
 
 def rerandomize(partition, h, region, rng, max_draws=100_000):
@@ -653,19 +678,25 @@ def rerandomize(partition, h, region, rng, max_draws=100_000):
 
     n = partition.n
     bound = _bind(region, partition, h)
+    score = _scorer(bound, partition)
     scored = []
     best = (np.inf, 0, None)  # penalty, 1-based draw index, treated units
     done = 0
-    for pens, treated in _scored_batches(bound, partition, gen, max_draws):
-        hits = np.flatnonzero(pens <= bound.threshold)
-        accepted = hits.size > 0
-        b = int(hits[0]) if accepted else int(np.argmin(pens))
-        if accepted or pens[b] < best[0]:
-            best = (float(pens[b]), done + b + 1, treated(b))
-        scored.append(pens[:b + 1] if accepted else pens)
+    accepted = False
+    for chunks in _slot_batches(bound, partition, gen, max_draws):
+        for slots in chunks:
+            if accepted:
+                continue  # drawn unscored, so the stream ends where the whole batch does
+            pens = score(slots)
+            hits = np.flatnonzero(pens <= bound.threshold)
+            accepted = hits.size > 0
+            b = int(hits[0]) if accepted else int(np.argmin(pens))
+            if accepted or pens[b] < best[0]:
+                best = (float(pens[b]), done + b + 1, np.take_along_axis(partition.groups, slots[b], axis=1))
+            scored.append(pens[:b + 1] if accepted else pens)
+            done += pens.size
         if accepted:
             break
-        done += pens.size
     penalty, index, units = best
     d = assignment_matrix_from_treated(units[None], n)[0]
     return AssignmentDraw(d=d, draw_index=index, accepted=accepted, penalty=penalty,

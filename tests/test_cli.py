@@ -171,6 +171,20 @@ def test_calibrate_writes_threshold(workspace, capsys):
     assert "missing required key 'k'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("draws", ["0", "-5"])
+def test_calibrate_without_draws_exit_2(workspace, capsys, draws):
+    tmp_path, cov, spec_path, _ = workspace
+    spec = json.loads(spec_path.read_text())
+    spec["region"] = {"shape": "ball", "dim": 2, "eps": 1.0}
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "region.json"
+    rc = main(["calibrate", "--spec", str(spec_path), "--data", str(cov),
+               "--out", str(out), "--alpha", "0.2", "--draws", draws])
+    assert rc == 2
+    assert "draws must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_odd_group_count_exit_2_without_output(workspace, capsys):
     # 100 units in groups of 4 with one treated: 25 groups cannot be paired
     tmp_path, cov, spec_path, _ = workspace

@@ -1,4 +1,6 @@
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from finestrat.inference import normal_quantile
 from finestrat.randomize import (
     assignment_matrix_from_treated,
     draw_stratified,
+    treated_slots,
     treated_units_batch,
 )
 from finestrat.rerandomize import _batch_penalties
@@ -608,6 +611,77 @@ def test_pair_kernel_rerandomize_matches_reference():
             exhausted += not accepted
             late += accepted and index > 512
         assert exhausted >= 5 and late >= 5, (k, l)
+
+
+
+# `finestrat.rerandomize` resolves to the function, not the module
+_rr = importlib.import_module("finestrat.rerandomize")
+
+
+@pytest.mark.parametrize("rows", [1, 7, 100])
+@pytest.mark.parametrize("region,shape", [
+    pytest.param(region, (n, k, l), id=f"{name}-n{n}k{k}l{l}")
+    for n, k, l in _KERNEL_SHAPES for name, region in _KERNEL_REGIONS
+])
+def test_chunked_batches_match_reference(region, shape, rows, monkeypatch):
+    # a budget of `rows` draws splits every 512-draw batch into chunks (of
+    # one draw, or of sizes that do not divide 512); the stream, the
+    # penalties and the accepted draw stay those of whole batches
+    n, k, l = shape
+    h = np.random.default_rng(40).standard_normal((n, 2))
+    part = _random_partition(n, k, l, 41)
+    monkeypatch.setattr(_rr, "_CHUNK_BYTES", rows * (n // k) * (9 * k + 8 * (l - 1)))
+    sizes = []
+
+    def recorded_slots(*args):
+        for chunk in treated_slots(*args):
+            sizes.append(chunk.shape[0])
+            yield chunk
+
+    monkeypatch.setattr(_rr, "treated_slots", recorded_slots)
+    gen, ref_gen = RngSpec(42).generator(), RngSpec(42).generator()
+    pens = _batch_penalties(region, part, h, gen, 1100)
+    ref = np.concatenate([p for p, _ in _reference_batches(region, part, h, ref_gen, 1100)])
+    np.testing.assert_allclose(pens, ref, rtol=1e-10, atol=0)
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+    assert sum(sizes) == 1100 and max(sizes) <= rows and len(sizes) > 3
+    # about one draw in 200 accepted: many accepts fall after the first
+    # chunk of their batch, in the second batch, or never (300 draws)
+    tight = region.with_threshold(float(np.quantile(ref, 0.005)))
+    later = 0
+    for seed in range(8):
+        max_draws = 300 if seed % 4 == 0 else 1100
+        gen, ref_gen = RngSpec(45, seed).generator(), RngSpec(45, seed).generator()
+        sizes.clear()
+        draw = rerandomize(part, h, tight, gen, max_draws=max_draws)
+        index, d, accepted = _reference_rerandomize(tight, part, h, ref_gen, max_draws)
+        assert (draw.draw_index, draw.accepted) == (index, accepted)
+        np.testing.assert_array_equal(draw.d, d)
+        assert gen.bit_generator.state == ref_gen.bit_generator.state
+        assert draw.penalties.size == (index if accepted else max_draws)
+        ref_pens = np.concatenate([p for p, _ in _reference_batches(
+            tight, part, h, RngSpec(45, seed).generator(), max_draws)])
+        np.testing.assert_allclose(draw.penalties, ref_pens[:draw.penalties.size],
+                                   rtol=1e-10, atol=0)
+        later += accepted and (index - 1) % 512 >= sizes[0]
+    assert later >= 2
+
+
+@pytest.mark.parametrize("k,l", [(2, 1), (4, 2)])
+def test_one_batch_holds_a_fixed_budget(k, l):
+    # one 512-draw batch at n = 40000: whole-batch int64 slots and float64
+    # mask - p would take 512 * n * 8 bytes (164 MB) for matched pairs
+    n = 40_000
+    h = np.random.default_rng(51).standard_normal((n, 5))
+    part = _random_partition(n, k, l, 52)
+    tracemalloc.start()
+    try:
+        calibrate_threshold(MahalanobisRegion(alpha=0.5), part, h, alpha=0.5,
+                            rng=RngSpec(53), draws=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48e6
 
 
 def test_rerandomize_reproducible():
