@@ -692,7 +692,8 @@ def rerandomize(partition, h, region, rng, max_draws=100_000):
             accepted = hits.size > 0
             b = int(hits[0]) if accepted else int(np.argmin(pens))
             if accepted or pens[b] < best[0]:
-                best = (float(pens[b]), done + b + 1, np.take_along_axis(partition.groups, slots[b], axis=1))
+                units = np.take_along_axis(partition.groups, slots[b], axis=1)
+                best = (float(pens[b]), done + b + 1, units)
             scored.append(pens[:b + 1] if accepted else pens)
             done += pens.size
         if accepted:
