@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 
 from . import __version__
@@ -183,7 +184,14 @@ def cmd_simulate(args):
     check_keys(spec, _SIM_KEYS, "simulation spec", _SIM_REQUIRED)
     replicates = args.replicates or int(spec.get("replicates", 1000))
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
-    threads = args.threads or int(spec.get("threads", 1))
+    # one worker process per CPU this process may use (at most one per
+    # replicate) unless told otherwise; the results do not depend on the count
+    threads = args.threads if args.threads is not None else spec.get("threads")
+    if threads is None:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    elif type(threads) is not int:
+        raise ConfigError(f"simulation spec: threads must be an integer, got {threads!r}")
     dgp = DgpSpec(model=int(spec["model"]), dim_r=int(spec["dim_r"]),
                   n=int(spec["n"]), p=float(spec.get("p", 0.5)))
     wanted = spec.get("designs", ["C", "S", "SR"])
@@ -201,7 +209,8 @@ def cmd_simulate(args):
     )
     result.to_csv(args.out)
     manifest = {"spec": spec, "seed": seed, "replicates": replicates,
-                "failures": result.failures, "meta": result.meta}
+                "workers": result.workers, "failures": result.failures,
+                "meta": result.meta}
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
     print(f"wrote {args.out} ({replicates} replicates, {result.failures} failures)")

@@ -147,7 +147,23 @@ def check_keys(doc, allowed, what, required=()):
         raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
 
 
-def _first_bad_cell(cells, rows, columns, what):
+# rows whose cell strings are held at once; each block becomes float64 as
+# soon as it is full, so a large file never holds all its cells as strings
+_BLOCK_ROWS = 1 << 16
+
+
+def _parse_block(cells, rows, columns, what):
+    """float64 array of one block of selected cells (``rows`` numbers them),
+    or, unraised, the LoadError naming its first non-numeric or non-finite
+    cell."""
+    # numpy parses a string cell exactly as float() does; the cell-by-cell
+    # scan runs only to name a bad cell
+    try:
+        data = np.array(cells, dtype=np.float64)
+    except ValueError:
+        data = None
+    if data is not None and np.isfinite(data).all():
+        return data
     for row, r in zip(cells, rows):
         for raw, col in zip(row, columns):
             try:
@@ -155,7 +171,7 @@ def _first_bad_cell(cells, rows, columns, what):
             except ValueError:
                 fault = "non-numeric"
             if fault:
-                raise LoadError(f"{fault} value {raw!r} in {what} row {r}, column '{col}'")
+                return LoadError(f"{fault} value {raw!r} in {what} row {r}, column '{col}'")
 
 
 def read_csv(source, columns, id_col, what, optional=()):
@@ -185,7 +201,7 @@ def read_csv(source, columns, id_col, what, optional=()):
                 raise LoadError(f"{what} file: {fault} column '{col}' (file has {header})")
         idx = [header.index(c) for c in names]
         id_idx = None if id_col is None else header.index(id_col)
-        cells, rows, ids, id_row = [], [], [], {}
+        blocks, cells, rows, ids, id_row = [], [], [], [], {}
         for r, record in enumerate(reader, start=1):
             if not record or (len(record) == 1 and not record[0].strip()):
                 continue
@@ -200,16 +216,18 @@ def read_csv(source, columns, id_col, what, optional=()):
                 ids.append(uid)
             cells.append([record[j] for j in idx])
             rows.append(r)
-    if not cells:
+            if len(cells) == _BLOCK_ROWS:
+                blocks.append(_parse_block(cells, rows, names, what))
+                cells, rows = [], []
+    if cells:
+        blocks.append(_parse_block(cells, rows, names, what))
+    if not blocks:
         raise LoadError(f"{what} file has no data rows")
-    # numpy parses a string cell exactly as float() does; the cell-by-cell
-    # scan runs only to name a bad cell
-    try:
-        data = np.array(cells, dtype=np.float64)
-    except ValueError:
-        data = None
-    if data is None or not np.isfinite(data).all():
-        _first_bad_cell(cells, rows, names, what)
+    # a bad cell is reported only once every row has passed the checks above
+    for block in blocks:
+        if isinstance(block, LoadError):
+            raise block
+    data = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
     return data, (None if id_col is None else np.array(ids))
 
 

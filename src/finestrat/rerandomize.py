@@ -78,13 +78,18 @@ def _finite_sample_sigma(x, partition, p):
 
 
 def _balance_cholesky(sigma):
+    # chol[j, j]**2 / sigma[j, j] is 1 - R^2 of column j on the columns
+    # before it: a duplicated column can factor with a rounding-size pivot
     try:
-        return np.linalg.cholesky(sigma)
+        chol = np.linalg.cholesky(sigma)
+        if (np.diag(chol) ** 2 > 1e-10 * np.diag(sigma)).all():
+            return chol
     except np.linalg.LinAlgError:
-        raise SingularityError(
-            "balance covariance matrix is singular; remove duplicated or "
-            "collinear balance columns"
-        ) from None
+        pass
+    raise SingularityError(
+        "balance covariance matrix is singular; remove duplicated or "
+        "collinear balance columns"
+    )
 
 
 def mahalanobis_stat(frame, partition, x=None):

@@ -269,6 +269,16 @@ def _locality_order(psi):
     return np.argsort(key, kind="stable")
 
 
+def _oracle_sample(dgp, x_cols, n_oracle, rng):
+    """A large synthetic draw (an even number of units near ``n_oracle``)
+    and its heterogeneity regressors (None without ``x_cols``)."""
+    big = replace(dgp, n=int(n_oracle) + (int(n_oracle) % 2))
+    draw = generate_dgp(big, rng)
+    if x_cols is None:
+        return draw, None
+    return draw, np.column_stack([np.ones(big.n), draw.r[:, list(x_cols)]])
+
+
 def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=(),
                          x_cols=None, psi_weights=None, n_oracle=1_000_000, rng=0):
     """Plug-in limiting-distribution parameters on a large synthetic sample.
@@ -278,16 +288,13 @@ def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=()
     for paired units i, j with psi_i ~ psi_j, E[(v_i - v_j)(v_i - v_j)']/2
     estimates E[Var(v | psi)].
     """
-    big = replace(dgp, n=int(n_oracle) + (int(n_oracle) % 2))
-    draw = generate_dgp(big, rng)
+    draw, x = _oracle_sample(dgp, x_cols, n_oracle, rng)
+    n = draw.r.shape[0]
     p = dgp.p
     vard = p * (1.0 - p)
-    x = None
-    if x_cols is not None:
-        x = np.column_stack([np.ones(big.n), draw.r[:, list(x_cols)]])
     pi_phi, pi_a, theta0 = _oracle_influence(draw, estimand, p, x=x)
-    h = draw.r[:, list(h_cols)] if h_cols else np.zeros((big.n, 0))
-    w = draw.r[:, list(w_cols)] if w_cols else np.zeros((big.n, 0))
+    h = draw.r[:, list(h_cols)] if h_cols else np.zeros((n, 0))
+    w = draw.r[:, list(w_cols)] if w_cols else np.zeros((n, 0))
 
     out = {"theta0": theta0, "V_phi": cov_n(pi_phi)}
     if psi_cols:
@@ -374,6 +381,7 @@ class MonteCarloResult:
     replicates: int
     failures: int
     seed: int
+    workers: int
     meta: dict = field(default_factory=dict)
     errors: dict | None = None
 
@@ -399,7 +407,7 @@ class MonteCarloResult:
                 fh.close()
 
 
-def _one_replicate(dgp, designs, estimand, x_cols, contrast, ci_alpha, seed, rep, theta0):
+def _one_replicate(dgp, designs, estimand, x_cols, contrast, ci_alpha, seed, theta0, rep):
     data = generate_dgp(dgp, RngSpec(seed).substream(1, rep, 0))
     n = dgp.n
     x = None
@@ -445,17 +453,15 @@ def _one_replicate(dgp, designs, estimand, x_cols, contrast, ci_alpha, seed, rep
     return out
 
 
-def _worker(args):
-    (dgp, designs, estimand, x_cols, contrast, ci_alpha, seed, reps, theta0) = args
+def _worker(common, reps):
     results = []
     for rep in reps:
         try:
-            results.append((rep, _one_replicate(
-                dgp, designs, estimand, x_cols, contrast, ci_alpha, seed, rep, theta0)))
+            results.append((rep, _one_replicate(*common, rep)))
         except ConfigError:
             raise  # a design error repeats in every replicate
         except Exception as exc:  # noqa: BLE001 - failure policy counts and reports
-            results.append((rep, f"{type(exc).__name__}: {exc}"))
+            results.append((rep, (type(exc).__name__, str(exc))))
     return results
 
 
@@ -465,9 +471,14 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     """Replicate the full pipeline R times and aggregate MSE (normalized so
     the unadjusted estimator under the complete-randomization design is 1),
     coverage of both targets, interval widths, and draws until acceptance.
+
+    ``threads`` > 1 runs the replicates in that many worker processes (at
+    most one per replicate); the result does not depend on it.
     """
     if replicates < 100:
         raise ConfigError("need at least 100 replicates")
+    if threads < 1:
+        raise ConfigError(f"threads must be at least 1, got {threads}")
     if isinstance(seed, RngSpec):
         seed = seed.seed
     seed = int(seed)
@@ -481,34 +492,42 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     if estimand in ("cate", "clate") and x_cols is None:
         x_cols = (0,)
     if theta0 is None:
-        oracle = population_variances(
-            dgp, estimand=estimand, psi_cols=(), h_cols=(), w_cols=(),
-            x_cols=x_cols if estimand in ("cate", "clate") else None,
-            n_oracle=n_oracle, rng=RngSpec(seed).substream(0, 0),
-        )
-        theta0 = oracle["theta0"]
+        # the population target alone: the oracle's variances go unused here
+        draw, x = _oracle_sample(dgp, x_cols if estimand in ("cate", "clate") else None,
+                                 n_oracle, RngSpec(seed).substream(0, 0))
+        theta0 = finite_pop_estimand(draw, estimand, dgp.p, x=x)
+        del draw, x  # the large sample must not outlive the oracle
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
     if contrast is None:
         contrast = np.eye(theta0.size)[theta0.size - 1 if estimand in ("cate", "clate") else 0]
 
-    reps = list(range(replicates))
-    args_common = (dgp, tuple(designs), estimand, x_cols, tuple(np.asarray(contrast)),
-                   ci_alpha, seed, None, theta0)
-    if threads > 1:
-        chunks = [reps[i::threads] for i in range(threads)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(_worker, [args_common[:7] + (c, theta0) for c in chunks])
-        results = [item for part in parts for item in part]
+    # replicates are seeded by index, so sorting by it makes the aggregate
+    # (every float included) independent of the worker count
+    workers = min(threads, replicates)
+    common = (dgp, tuple(designs), estimand, x_cols, tuple(np.asarray(contrast)),
+              ci_alpha, seed, theta0)
+    chunks = [range(i, replicates, workers) for i in range(workers)]
+    if workers > 1:
+        # forked workers share this process's imports: load the matcher's
+        # k-d tree module once here, not once in every worker
+        import scipy.spatial  # noqa: F401
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_worker, [common] * workers, chunks))
     else:
-        results = _worker(args_common[:7] + (reps, theta0))
-    results.sort(key=lambda t: t[0])
+        parts = [_worker(common, chunks[0])]
+    results = sorted((item for part in parts for item in part), key=lambda t: t[0])
 
     records = [r for _, r in results if isinstance(r, dict)]
     failures = [(rep, r) for rep, r in results if not isinstance(r, dict)]
+    reasons = {}
+    for _, (kind, message) in failures:
+        reasons.setdefault(kind, {"count": 0, "first": message})["count"] += 1
     if len(failures) > max_failure_share * replicates:
+        by_kind = "; ".join(f"{kind} x{r['count']}, first: {r['first']}"
+                            for kind, r in reasons.items())
         raise EstimationError(
-            f"{len(failures)} of {replicates} replicates failed "
-            f"(first: rep {failures[0][0]}: {failures[0][1]})"
+            f"{len(failures)} of {replicates} replicates failed, first at rep "
+            f"{failures[0][0]} ({by_kind})"
         )
 
     base_design = next((d.name for d in designs if d.kind == "complete"), designs[0].name)
@@ -560,7 +579,9 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
         row["mse_fin_ratio"] = round(row["mse_fin"] / base_mse_fin, 6)
     return MonteCarloResult(
         rows=rows, replicates=replicates, failures=len(failures), seed=seed,
+        workers=workers,
         meta={"estimand": estimand, "theta0": theta0.tolist(),
-              "failed_reps": [rep for rep, _ in failures]},
+              "failed_reps": [rep for rep, _ in failures],
+              "failure_reasons": reasons},
         errors=errors if keep_errors else None,
     )

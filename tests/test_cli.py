@@ -143,6 +143,42 @@ def test_simulate_smoke_and_seed_stability(tmp_path):
     assert {r["design"] for r in rows} == {"C", "SR"}
 
 
+def test_simulate_default_workers_match_serial(tmp_path):
+    # the default runs one worker per usable CPU; only the recorded worker
+    # count may differ from a serial run
+    spec = {"model": 2, "dim_r": 3, "n": 60, "replicates": 100, "seed": 7,
+            "designs": ["C", "SR"], "estimand": "sate", "accept_alpha": 0.1}
+    spec_path = tmp_path / "sim.json"
+    spec_path.write_text(json.dumps(spec))
+    default, serial = tmp_path / "default.csv", tmp_path / "serial.csv"
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(default)]) == 0
+    assert main(["simulate", "--spec", str(spec_path), "--out", str(serial),
+                 "--threads", "1"]) == 0
+    assert default.read_bytes() == serial.read_bytes()
+    manifests = [json.loads(Path(str(out) + ".manifest.json").read_text())
+                 for out in (default, serial)]
+    assert manifests[0].pop("workers") == min(100, len(os.sched_getaffinity(0)))
+    assert manifests[1].pop("workers") == 1
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["meta"]["failure_reasons"] == {}
+
+
+@pytest.mark.parametrize("flag, value", [("--threads", 0), ("--threads", -2),
+                                         ("spec", 0), ("spec", 1.5)])
+def test_simulate_rejects_bad_thread_count(tmp_path, capsys, flag, value):
+    spec = {"model": 2, "dim_r": 3, "n": 60, "replicates": 100}
+    argv = ["simulate", "--spec", str(tmp_path / "sim.json"), "--out", str(tmp_path / "r.csv")]
+    if flag == "spec":
+        spec["threads"] = value
+    else:
+        argv += [flag, str(value)]
+    (tmp_path / "sim.json").write_text(json.dumps(spec))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "threads must be" in err and f"got {value}" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_calibrate_writes_threshold(workspace, capsys):
     tmp_path, cov, spec_path, _ = workspace
     spec = json.loads(spec_path.read_text())

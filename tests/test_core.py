@@ -94,6 +94,26 @@ def test_non_finite_rejected():
         load_covariates(io.StringIO("a\n1.0\ninf\n"), {"a": "psi"})
 
 
+def test_read_csv_blocks_keep_row_policy(monkeypatch):
+    # cells become floats block by block; the row numbers in errors (blank
+    # rows counted) and the field-count-before-cells order must not change
+    from finestrat import core
+
+    text = "id,a,b\n0,1.0,2.0\n1,3.0,4.0\n\n2,5.0,6.0\n3,7.0,x\n4,9.0,10.0\n"
+    good = text.replace("x", "8.0")
+    whole, whole_ids = core.read_csv(io.StringIO(good), ["b", "a"], "id", "covariates")
+    monkeypatch.setattr(core, "_BLOCK_ROWS", 2)
+    data, ids = core.read_csv(io.StringIO(good), ["b", "a"], "id", "covariates")
+    np.testing.assert_array_equal(data, whole)
+    np.testing.assert_array_equal(ids, whole_ids)
+    assert data.shape == (5, 2) and data[3, 0] == 8.0
+    with pytest.raises(LoadError, match=r"^non-numeric value 'x' in covariates row 5, "
+                                        r"column 'b'$"):
+        core.read_csv(io.StringIO(text), ["a", "b"], "id", "covariates")
+    with pytest.raises(LoadError, match="covariates row 7 has 2 fields, expected 3"):
+        core.read_csv(io.StringIO(text + "5,1.0\n"), ["a", "b"], "id", "covariates")
+
+
 def test_ht_weights_formula():
     np.testing.assert_array_equal(
         horvitz_thompson_weights(np.array([1, 0]), p=0.5), [2.0, -2.0]

@@ -190,12 +190,16 @@ def test_run_monte_carlo_smoke_and_reproducible():
     assert sr["mean_draws"] > 1.0
 
 
-def test_run_monte_carlo_threads_match_serial():
+@pytest.mark.parametrize("threads", [2, 3])  # 3 workers get uneven chunks
+def test_run_monte_carlo_threads_match_serial(threads):
     dgp = DgpSpec(model=1, dim_r=2, n=40)
     designs = benchmark_designs(1, 2, accept_alpha=0.2)
     r1 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=1, n_oracle=20000)
-    r2 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=2, n_oracle=20000)
+    r2 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=threads,
+                         n_oracle=20000)
     assert r1.rows == r2.rows
+    assert r1.meta == r2.meta
+    assert (r1.workers, r2.workers) == (1, threads)
 
 
 def test_run_monte_carlo_requires_replicates():
@@ -237,6 +241,35 @@ def test_run_monte_carlo_failure_policy():
     dgp = DgpSpec(model=1, dim_r=3, n=40)
     with pytest.raises(RuntimeError, match="replicates failed"):
         run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # means of zero replicates
+def test_run_monte_carlo_groups_failure_reasons():
+    # the singular design of the failure-policy test, with every failure
+    # allowed: the reasons are kept by exception type, whatever the workers
+    from finestrat import DesignSpec
+
+    bad = DesignSpec(name="BAD", kind="rerandomized", psi_cols=(0,),
+                     match_method="sorted-1d", h_cols=(1, 1), w_cols=(1,),
+                     region=MahalanobisRegion(alpha=0.5))
+    dgp = DgpSpec(model=1, dim_r=3, n=40)
+    results = [run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1),
+                               max_failure_share=1.0, threads=threads)
+               for threads in (1, 2)]
+    reasons = results[0].meta["failure_reasons"]
+    assert len(reasons) == 1
+    (entry,) = reasons.values()
+    assert entry["count"] == 100
+    assert isinstance(entry["first"], str) and entry["first"]
+    assert results[0].failures == 100
+    assert results[0].meta == results[1].meta
+    # no replicate is left to aggregate: the rows are NaN, so compare as text
+    texts = []
+    for res in results:
+        buf = io.StringIO()
+        res.to_csv(buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1]
 
 
 def test_run_monte_carlo_odd_group_count_raises_at_once(monkeypatch):
