@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, SingularityError, cov_n, horvitz_thompson_weights
+from .core import (
+    ConfigError,
+    SingularityError,
+    cov_n,
+    horvitz_thompson_weights,
+    rank_checked_cholesky,
+)
 from .gmm import solve_gmm
 from .rerandomize import within_tuple_demean
 
@@ -34,14 +40,9 @@ class AdjustmentFit:
 
 
 def _gram_cholesky(gram, cond, names):
-    # chol[j, j]**2 / gram[j, j] is 1 - R^2 of column j on the columns before
-    # it, so this rank test does not depend on the units of the columns.
-    try:
-        chol = np.linalg.cholesky(gram)
-        if (np.diag(chol) ** 2 > 1e-10 * np.diag(gram)).all():
-            return chol
-    except np.linalg.LinAlgError:
-        pass
+    chol = rank_checked_cholesky(gram)
+    if chol is not None:
+        return chol
     # column-pivoted QR of the unit-diagonal Gram names the collinear columns;
     # scipy.linalg loads here, on the error path only, to keep imports fast
     import scipy.linalg as sla
@@ -61,10 +62,10 @@ def fit_adjustment(fit, frame, partition, w=None, w_names=None):
     on demeaned adjustment covariates, and the adjusted point estimate
     theta_adj = theta - E_n[H * alpha'w]."""
     u = fit.scores @ fit.Pi.T  # (n, d_theta) influence contributions
-    return _adjust_with_influence(fit, frame, partition, w, w_names, u)
+    return _adjust(fit, frame, partition, w, w_names, u, 1)
 
 
-def _adjust_with_influence(fit, frame, partition, w, w_names, u):
+def _adjust(fit, frame, partition, w, w_names, u, iteration):
     """fit_adjustment for given (n, d_theta) influence contributions u."""
     if w is None:
         w = frame.covariates.w
@@ -72,29 +73,39 @@ def _adjust_with_influence(fit, frame, partition, w, w_names, u):
     w = np.asarray(w, dtype=np.float64)
     if w.ndim == 1:
         w = w[:, None]
-    d_w = w.shape[1]
-    if w_names is None:
-        w_names = tuple(f"w{j}" for j in range(d_w))
-    d_theta = fit.theta.size
-
+    n, d_w = w.shape
     if d_w == 0:
+        d_theta = fit.theta.size
         return AdjustmentFit(
             alpha=np.zeros((0, d_theta)), beta1=np.zeros((0, d_theta)),
             beta0=np.zeros((0, d_theta)), theta_adj=fit.theta.copy(),
-            gram=np.zeros((0, 0)), cond=1.0, w=w,
+            gram=np.zeros((0, 0)), cond=1.0, w=w, iterations=iteration,
         )
-
+    names = w_names or tuple(f"w{j}" for j in range(d_w))
     scale = np.abs(w).max(axis=0)
     wc = within_tuple_demean(w, partition)
     dead = np.abs(wc).max(axis=0) <= 1e-12 * np.maximum(scale, 1.0)
     if dead.any():
-        cols = [w_names[j] for j in np.where(dead)[0]]
+        cols = [names[j] for j in np.where(dead)[0]]
         raise SingularityError(
             f"adjustment columns {cols} are constant within every group "
             "(annihilated by demeaning); drop columns matched exactly by the "
             "stratification"
         )
-    return _refit_with_influence(fit, frame, partition, w, u, w_names, 1)
+    gram = wc.T @ wc / n
+    cond = float(np.linalg.cond(gram))
+    chol = _gram_cholesky(gram, cond, names)
+    vard = frame.p * (1.0 - frame.p)
+    mask1 = frame.d == 1
+    beta1, beta0 = (vard * np.linalg.solve(chol.T, np.linalg.solve(chol, cov_n(wc[m], u[m])))
+                    for m in (mask1, ~mask1))
+    alpha = beta1 - beta0
+    hw = horvitz_thompson_weights(frame)
+    theta_adj = fit.theta - (hw[:, None] * w).mean(axis=0) @ alpha
+    return AdjustmentFit(
+        alpha=alpha, beta1=beta1, beta0=beta0, theta_adj=theta_adj,
+        gram=gram, cond=cond, w=w, iterations=iteration,
+    )
 
 
 def two_step_adjust(frame, partition, spec, w=None, iterations=1, theta_init=None,
@@ -110,33 +121,11 @@ def two_step_adjust(frame, partition, spec, w=None, iterations=1, theta_init=Non
     for it in range(2, iterations + 1):
         scores = np.atleast_2d(spec.score(frame, theta_prev))
         u = scores @ fit.Pi.T
-        adj = _refit_with_influence(fit, frame, partition, adj.w, u, w_names, it)
+        adj = _adjust(fit, frame, partition, adj.w, w_names, u, it)
         if np.abs(adj.theta_adj - theta_prev).max() < 1e-8:
-            theta_prev = adj.theta_adj
             break
         theta_prev = adj.theta_adj
     return fit, adj
-
-
-def _refit_with_influence(fit, frame, partition, w, u, w_names, iteration):
-    n, d_w = w.shape
-    p = frame.p
-    vard = p * (1.0 - p)
-    names = w_names or tuple(f"w{j}" for j in range(d_w))
-    wc = within_tuple_demean(w, partition)
-    gram = wc.T @ wc / n
-    mask1 = frame.d == 1
-    cond = float(np.linalg.cond(gram))
-    chol = _gram_cholesky(gram, cond, names)
-    beta1, beta0 = (vard * np.linalg.solve(chol.T, np.linalg.solve(chol, cov_n(wc[m], u[m])))
-                    for m in (mask1, ~mask1))
-    alpha = beta1 - beta0
-    hw = horvitz_thompson_weights(frame)
-    theta_adj = fit.theta - (hw[:, None] * w).mean(axis=0) @ alpha
-    return AdjustmentFit(
-        alpha=alpha, beta1=beta1, beta0=beta0, theta_adj=theta_adj,
-        gram=gram, cond=cond, w=w, iterations=iteration,
-    )
 
 
 def one_step_cate_adjust(frame, partition, w=None, w_names=None):
@@ -152,7 +141,7 @@ def one_step_cate_adjust(frame, partition, w=None, w_names=None):
     fit = solve_gmm(frame, score_cate_blp())
     hy = horvitz_thompson_weights(frame) * frame.y
     u = (hy[:, None] * x) @ np.linalg.inv(x.T @ x / frame.n)
-    return fit, _adjust_with_influence(fit, frame, partition, w, w_names, u)
+    return fit, _adjust(fit, frame, partition, w, w_names, u, 1)
 
 
 def double_robustness_decomposition(frame, partition, fit, adj, gamma0, sate=None):

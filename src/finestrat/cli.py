@@ -182,7 +182,8 @@ def cmd_estimate(args):
 def cmd_simulate(args):
     spec = _load_json(args.spec, "simulation spec")
     check_keys(spec, _SIM_KEYS, "simulation spec", _SIM_REQUIRED)
-    replicates = args.replicates or int(spec.get("replicates", 1000))
+    replicates = (args.replicates if args.replicates is not None
+                  else int(spec.get("replicates", 1000)))
     seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
     # one worker process per CPU this process may use (at most one per
     # replicate) unless told otherwise; the results do not depend on the count

@@ -468,3 +468,15 @@ def psd_root(mat, label=None):
     if label is not None and evals.min() < -1e-10 * max(evals.max(), 1.0):
         raise ConfigError(f"{label} must be positive semidefinite")
     return evecs @ np.diag(np.sqrt(np.clip(evals, 0.0, None))) @ evecs.T
+
+
+def rank_checked_cholesky(mat):
+    """Cholesky factor of a symmetric matrix, or None when it is numerically
+    singular. chol[j, j]**2 / mat[j, j] is 1 - R^2 of column j on the columns
+    before it, so the rank test does not depend on the units of the columns,
+    and a duplicated column that factors with a rounding-size pivot fails it."""
+    try:
+        chol = np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        return None
+    return chol if (np.diag(chol) ** 2 > 1e-10 * np.diag(mat)).all() else None

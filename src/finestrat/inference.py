@@ -86,13 +86,10 @@ def variance_components(frame, partition, adj, fit, spec=None):
 
     scores = np.atleast_2d(spec.score(frame, adj.theta_adj)) if spec is not None else fit.scores
     u = scores @ fit.Pi.T
+    # with no adjustment columns the products below are zeros
     w = adj.w
-    if w.shape[1]:
-        w_term = np.where((d == 1)[:, None], w @ adj.beta1, w @ adj.beta0)
-        alpha_w = w @ adj.alpha
-    else:
-        w_term = np.zeros_like(u)
-        alpha_w = np.zeros_like(u)
+    w_term = np.where((d == 1)[:, None], w @ adj.beta1, w @ adj.beta0)
+    alpha_w = w @ adj.alpha
     psi_a = vard * u - w_term
     s_hat = u - horvitz_thompson_weights(d, p)[:, None] * alpha_w
 

@@ -40,6 +40,7 @@ from .core import (
     as_generator,
     check_keys,
     psd_root,
+    rank_checked_cholesky,
 )
 from .gmm import fd_jacobian, newton_root
 from .randomize import (
@@ -77,21 +78,6 @@ def _finite_sample_sigma(x, partition, p):
     return (xc.T @ xc) / x.shape[0] * (k / (k - 1.0)) / (p * (1.0 - p))
 
 
-def _balance_cholesky(sigma):
-    # chol[j, j]**2 / sigma[j, j] is 1 - R^2 of column j on the columns
-    # before it: a duplicated column can factor with a rounding-size pivot
-    try:
-        chol = np.linalg.cholesky(sigma)
-        if (np.diag(chol) ** 2 > 1e-10 * np.diag(sigma)).all():
-            return chol
-    except np.linalg.LinAlgError:
-        pass
-    raise SingularityError(
-        "balance covariance matrix is singular; remove duplicated or "
-        "collinear balance columns"
-    )
-
-
 def mahalanobis_stat(frame, partition, x=None):
     """Quadratic balance statistic n * diff' Sigma_n^{-1} diff for the arm
     mean difference of the balance covariates; approximately chi-square with
@@ -101,13 +87,9 @@ def mahalanobis_stat(frame, partition, x=None):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
-    if x.shape[1] == 0:
-        raise ConfigError("no balance covariates (d_h = 0)")
-    chol = _balance_cholesky(_finite_sample_sigma(x, partition, frame.p))
-    diff = x[frame.d == 1].mean(axis=0) - x[frame.d == 0].mean(axis=0)
-    z = np.linalg.solve(chol, diff)
-    m = float(frame.n * (z @ z))
-    return ImbalanceStat(kind="mahalanobis", value=m, raw=np.sqrt(frame.n) * diff)
+    raw = np.sqrt(frame.n) * (x[frame.d == 1].mean(axis=0) - x[frame.d == 0].mean(axis=0))
+    bound = MahalanobisRegion(eps2=1.0).bind(x, partition, frame.p)
+    return ImbalanceStat(kind="mahalanobis", value=float(bound.penalty(raw[None])[0]), raw=raw)
 
 
 def chi2_threshold(r, alpha):
@@ -228,7 +210,12 @@ class MahalanobisRegion(AcceptanceRegion):
         return chi2_threshold(r, self.alpha)
 
     def _bound(self, sigma, stats=None):
-        chol = _balance_cholesky(sigma)
+        chol = rank_checked_cholesky(sigma)
+        if chol is None:
+            raise SingularityError(
+                "balance covariance matrix is singular; remove duplicated or "
+                "collinear balance columns"
+            )
 
         def penalty(T):
             z = np.linalg.solve(chol, T.T)
@@ -430,10 +417,10 @@ def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100
     """Mean squared gap between the target assignment share and a fitted
     propensity model: n * E_n[(p - L(x'beta))^2].
 
-    The model is fit by Newton iteration with step halving on the
-    standardized design; coefficients are mapped back to the original scale.
-    Raises EstimationError (with iteration trace) on separation or
-    non-convergence.
+    The logit score Xs'(d - expit(Xs beta))/n is driven to zero by
+    gmm.newton_root on the standardized design Xs; coefficients are mapped
+    back to the original scale. Raises EstimationError (with the solver's
+    (iteration, sup-norm) trace) on separation or non-convergence.
     """
     if link != "logit":
         raise ConfigError(f"unsupported link {link!r}")
@@ -456,48 +443,20 @@ def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100
     scale = np.where(is_const, 1.0, sd)
     Xs = (X - mu) / scale
 
-    beta = np.zeros(X.shape[1])
+    def score(beta):
+        return Xs.T @ (d - expit(Xs @ beta)) / n
+
+    def jac(beta):
+        prob = expit(Xs @ beta)
+        return -((Xs * (prob * (1.0 - prob))[:, None]).T @ Xs) / n
+
+    beta, iters, trace = newton_root(score, jac, np.zeros(X.shape[1]), tol=tol,
+                                     max_iter=max_iter, label="propensity fit")
     eta = Xs @ beta
-
-    def nll(eta_):
-        return float(np.mean(np.logaddexp(0.0, np.where(d == 1, -eta_, eta_))))
-
-    trace = []
-    converged = False
-    for it in range(1, max_iter + 1):
-        prob = expit(eta)
-        grad = Xs.T @ (d - prob) / n
-        gnorm = float(np.abs(grad).max())
-        trace.append({"iter": it, "nll": nll(eta), "grad_norm": gnorm,
-                      "max_abs_eta": float(np.abs(eta).max())})
-        if np.abs(eta).max() > 15.0:
-            raise EstimationError(
-                "propensity fit diverging (fitted log-odds beyond +-15): "
-                "likely separation", trace)
-        if gnorm <= tol:
-            converged = True
-            break
-        wgt = prob * (1.0 - prob)
-        hess = (Xs * wgt[:, None]).T @ Xs / n
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            raise EstimationError("singular Hessian in propensity fit", trace)
-        f0 = nll(eta)
-        s = 1.0
-        for _ in range(40):
-            cand = beta + s * step
-            eta_c = Xs @ cand
-            if nll(eta_c) < f0 + 1e-12:
-                break
-            s *= 0.5
-        else:
-            raise EstimationError("propensity fit stalled (no descent step)", trace)
-        beta, eta = cand, eta_c
-    if not converged:
+    if np.abs(eta).max() > 15.0:
         raise EstimationError(
-            f"propensity fit did not converge in {max_iter} iterations "
-            "(possible separation)", trace)
+            "propensity fit diverging (fitted log-odds beyond +-15): "
+            "likely separation", list(trace))
 
     prob = expit(eta)
     m_stat = float(n * np.mean((p - prob) ** 2))
@@ -508,7 +467,7 @@ def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100
         beta_orig[j] += offset / X[0, j]
     return ImbalanceStat(
         kind="propensity", value=m_stat, raw=None,
-        extra={"beta": beta_orig, "iterations": it, "trace": trace},
+        extra={"beta": beta_orig, "iterations": iters, "trace": trace},
     )
 
 

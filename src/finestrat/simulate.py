@@ -476,7 +476,7 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     most one per replicate); the result does not depend on it.
     """
     if replicates < 100:
-        raise ConfigError("need at least 100 replicates")
+        raise ConfigError(f"need at least 100 replicates, got {replicates}")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
     if isinstance(seed, RngSpec):
@@ -522,7 +522,8 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     reasons = {}
     for _, (kind, message) in failures:
         reasons.setdefault(kind, {"count": 0, "first": message})["count"] += 1
-    if len(failures) > max_failure_share * replicates:
+    # with no replicate left there is nothing to aggregate, whatever the share
+    if len(failures) > max_failure_share * replicates or not records:
         by_kind = "; ".join(f"{kind} x{r['count']}, first: {r['first']}"
                             for kind, r in reasons.items())
         raise EstimationError(

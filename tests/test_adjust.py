@@ -157,6 +157,17 @@ def test_two_step_linear_score_iteration_fixed_point():
     assert np.abs(adj9.theta_adj - adj1.theta_adj).max() < 1e-12
 
 
+def test_two_step_iterations_without_adjustment_columns():
+    # no w: every refit is the empty adjustment, so the estimate stays put
+    gen = np.random.default_rng(14)
+    n = 80
+    part = _pairs(n)
+    frame = _frame(draw_stratified(part, RngSpec(15)).d, gen.standard_normal(n))
+    fit, adj = two_step_adjust(frame, part, score_sate(), iterations=3)
+    assert adj.w.shape == (n, 0)
+    np.testing.assert_array_equal(adj.theta_adj, fit.theta)
+
+
 def test_one_step_matches_two_step_for_blp():
     # both estimate the same projection coefficient: for this model the
     # intercept column of alpha0 is 0.5 per adjustment covariate and the

@@ -179,6 +179,21 @@ def test_simulate_rejects_bad_thread_count(tmp_path, capsys, flag, value):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--replicates", "spec"])
+def test_simulate_rejects_bad_replicates(tmp_path, capsys, flag):
+    spec = {"model": 2, "dim_r": 3, "n": 60, "replicates": 100}
+    argv = ["simulate", "--spec", str(tmp_path / "sim.json"), "--out", str(tmp_path / "r.csv")]
+    if flag == "spec":
+        spec["replicates"] = 0
+    else:
+        argv += [flag, "0"]
+    (tmp_path / "sim.json").write_text(json.dumps(spec))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "at least 100 replicates" in err and "got 0" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_calibrate_writes_threshold(workspace, capsys):
     tmp_path, cov, spec_path, _ = workspace
     spec = json.loads(spec_path.read_text())

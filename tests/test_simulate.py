@@ -243,33 +243,46 @@ def test_run_monte_carlo_failure_policy():
         run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # means of zero replicates
-def test_run_monte_carlo_groups_failure_reasons():
-    # the singular design of the failure-policy test, with every failure
-    # allowed: the reasons are kept by exception type, whatever the workers
-    from finestrat import DesignSpec
+def test_run_monte_carlo_groups_failure_reasons(monkeypatch):
+    # the singular design of the failure-policy test fails every replicate:
+    # with every failure allowed there is still nothing to aggregate, and
+    # the error names the counts per type, whatever the workers
+    from finestrat import DesignSpec, simulate
 
     bad = DesignSpec(name="BAD", kind="rerandomized", psi_cols=(0,),
                      match_method="sorted-1d", h_cols=(1, 1), w_cols=(1,),
                      region=MahalanobisRegion(alpha=0.5))
     dgp = DgpSpec(model=1, dim_r=3, n=40)
-    results = [run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1),
+    messages = []
+    for threads in (1, 2):
+        with pytest.raises(EstimationError, match="100 of 100 replicates failed") as err:
+            run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1),
+                            max_failure_share=1.0, threads=threads)
+        messages.append(str(err.value))
+    assert "x100" in messages[0]
+    assert messages[0] == messages[1]
+
+    # a design step failing on a seeded subset of replicates (forked workers
+    # inherit the patch): the survivors are aggregated, the reasons kept
+    assign = simulate.assign_design
+
+    def flaky(design, r, p, rng):
+        if r[0, 0] > 1.0:
+            raise FloatingPointError(f"first unit at {r[0, 0]:.3f}")
+        return assign(design, r, p, rng)
+
+    monkeypatch.setattr(simulate, "assign_design", flaky)
+    ok = benchmark_designs(1, 3)[0]
+    results = [run_monte_carlo([ok], dgp, replicates=100, seed=3, theta0=np.zeros(1),
                                max_failure_share=1.0, threads=threads)
                for threads in (1, 2)]
     reasons = results[0].meta["failure_reasons"]
-    assert len(reasons) == 1
-    (entry,) = reasons.values()
-    assert entry["count"] == 100
-    assert isinstance(entry["first"], str) and entry["first"]
-    assert results[0].failures == 100
+    assert list(reasons) == ["FloatingPointError"]
+    assert 0 < reasons["FloatingPointError"]["count"] == results[0].failures < 100
+    assert reasons["FloatingPointError"]["first"].startswith("first unit at ")
     assert results[0].meta == results[1].meta
-    # no replicate is left to aggregate: the rows are NaN, so compare as text
-    texts = []
-    for res in results:
-        buf = io.StringIO()
-        res.to_csv(buf)
-        texts.append(buf.getvalue())
-    assert texts[0] == texts[1]
+    assert results[0].rows == results[1].rows
+    assert all(np.isfinite(row["mse"]) for row in results[0].rows)
 
 
 def test_run_monte_carlo_odd_group_count_raises_at_once(monkeypatch):
