@@ -64,6 +64,15 @@ def _sha256(path):
     return digest.hexdigest()
 
 
+def _spec_int(spec, key, what, default=None):
+    """spec[key], or the default when it is absent, as an int. A bool, a
+    string or a number with a fractional part is refused, not truncated."""
+    value = spec.get(key, default)
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{what}: {key} must be an integer, got {value!r}")
+
+
 def _read_design(args):
     """Spec, seed, covariates, partition and region of a design command.
     Matching uses stream 0 of the seed; draws use the later streams."""
@@ -71,10 +80,11 @@ def _read_design(args):
     check_keys(spec, _DESIGN_KEYS, "design spec", _DESIGN_REQUIRED)
     match = spec.get("match", {})
     check_keys(match, _MATCH_KEYS, "match block")
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+    seed = args.seed if args.seed is not None else _spec_int(spec, "seed", "design spec", 0)
+    k, l = (_spec_int(spec, key, "design spec") for key in ("k", "l"))
     table = load_covariates(args.data, spec["roles"])
     cfg = MatchConfig(
-        k=int(spec["k"]), l=int(spec["l"]), psi_weights=match.get("weights"),
+        k=k, l=l, psi_weights=match.get("weights"),
         method=match.get("method", "sorted-1d" if table.d_psi == 1 else "greedy-nn"),
     )
     partition = design_partition(table.psi, cfg, RngSpec(seed, 0))
@@ -84,7 +94,7 @@ def _read_design(args):
 
 def cmd_assign(args):
     spec, seed, table, partition, region = _read_design(args)
-    max_draws = int(spec.get("max_draws", 10000))
+    max_draws = _spec_int(spec, "max_draws", "design spec", 10000)
     draw = rerandomize(partition, table.h, region, RngSpec(seed, 1), max_draws=max_draws)
 
     group_of = partition.group_of()
@@ -182,19 +192,20 @@ def cmd_estimate(args):
 def cmd_simulate(args):
     spec = _load_json(args.spec, "simulation spec")
     check_keys(spec, _SIM_KEYS, "simulation spec", _SIM_REQUIRED)
+    what = "simulation spec"
     replicates = (args.replicates if args.replicates is not None
-                  else int(spec.get("replicates", 1000)))
-    seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+                  else _spec_int(spec, "replicates", what, 1000))
+    seed = args.seed if args.seed is not None else _spec_int(spec, "seed", what, 0)
     # one worker process per CPU this process may use (at most one per
     # replicate) unless told otherwise; the results do not depend on the count
-    threads = args.threads if args.threads is not None else spec.get("threads")
-    if threads is None:
+    threads = args.threads
+    if threads is None and spec.get("threads") is not None:
+        threads = _spec_int(spec, "threads", what)
+    elif threads is None:
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    elif type(threads) is not int:
-        raise ConfigError(f"simulation spec: threads must be an integer, got {threads!r}")
-    dgp = DgpSpec(model=int(spec["model"]), dim_r=int(spec["dim_r"]),
-                  n=int(spec["n"]), p=float(spec.get("p", 0.5)))
+    model, dim_r, n = (_spec_int(spec, key, what) for key in ("model", "dim_r", "n"))
+    dgp = DgpSpec(model=model, dim_r=dim_r, n=n, p=float(spec.get("p", 0.5)))
     wanted = spec.get("designs", ["C", "S", "SR"])
     available = {d.name: d for d in benchmark_designs(
         dgp.model, dgp.dim_r, accept_alpha=float(spec.get("accept_alpha", 1.0 / 500.0)))}

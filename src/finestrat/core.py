@@ -301,7 +301,7 @@ class GroupPartition:
         if flat.min(initial=0) < 0 or flat.max(initial=-1) >= n:
             raise ConfigError("group indices out of range")
         seen[flat] = True
-        if not seen.all() or np.unique(flat).size != n:
+        if not seen.all():  # n indices in range that cover 0..n-1 are a permutation
             raise ConfigError("groups must partition 0..n-1 disjointly")
         if self.pairing is not None:
             rho = np.asarray(self.pairing, dtype=np.intp)

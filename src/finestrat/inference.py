@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .core import ConfigError, EstimationError, cov_n, horvitz_thompson_weights
 
@@ -164,6 +163,8 @@ def superpop_variance(components, main_text_scaling=False):
 
 
 def normal_quantile(q):
+    from scipy.special import ndtri  # imported here to keep start-up fast
+
     return float(ndtri(q))
 
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import expit, gammaincinv
 
 from .core import (
     ConfigError,
@@ -103,7 +102,10 @@ def chi2_threshold(r, alpha):
 
 
 def _chi2_quantile(q, df):
-    # the chi-square quantile exactly as SciPy's chi2.ppf computes it, from scipy.special
+    # the chi-square quantile exactly as SciPy's chi2.ppf computes it; imported
+    # here, as scipy.special adds ~0.25 s to the start-up of every command
+    from scipy.special import gammaincinv
+
     return float(2.0 * gammaincinv(df / 2.0, q))
 
 
@@ -422,6 +424,8 @@ def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100
     back to the original scale. Raises EstimationError (with the solver's
     (iteration, sup-norm) trace) on separation or non-convergence.
     """
+    from scipy.special import expit
+
     if link != "logit":
         raise ConfigError(f"unsupported link {link!r}")
     if isinstance(frame_or_d, ExperimentFrame):

@@ -509,8 +509,10 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     chunks = [range(i, replicates, workers) for i in range(workers)]
     if workers > 1:
         # forked workers share this process's imports: load the matcher's
-        # k-d tree module once here, not once in every worker
+        # k-d tree module and the quantiles' scipy.special once here, not
+        # once in every worker
         import scipy.spatial  # noqa: F401
+        import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_worker, [common] * workers, chunks))
     else:

@@ -38,8 +38,8 @@ class MatchConfig:
             object.__setattr__(self, "psi_weights", w)
 
 
-def _ranked(points, rows, idx, alive, bound):
-    """Sort each row's tree neighbours idx by (exact squared distance, index),
+def _ranked(points, rows, idx, bound, alive):
+    """Sort each row's candidates idx by (exact squared distance, index),
     keeping the entries below the row's bound and dropping the row itself
     and matched points. The squares are added column by column in order, so
     every call gives the same bits."""
@@ -53,11 +53,80 @@ def _ranked(points, rows, idx, alive, bound):
     return [r[:c] for r, c in zip(idx, kept)], [r[:c] for r, c in zip(ex, kept)]
 
 
-def _trusted(r):
-    """A bound below which an exact squared distance is less than that of
-    every point a tree finds farther than r: r**2 less 1e-12 relative for
-    the tree's rounding."""
-    return r * r * (1.0 - 1e-12)
+class _TreeSource:
+    """Candidates from a k-d tree (Friedman, Bentley & Finkel 1977) of the
+    points unmatched at the last rebuild. Each bound is a squared tree
+    distance less 1e-12 relative for the tree's rounding, below which no
+    point the tree left out can lie."""
+
+    def __init__(self, points, alive):
+        self.points, self.alive = points, alive
+        self.rebuild()
+
+    def rebuild(self):
+        # imported here: scipy.spatial adds ~0.1 s to a command's start-up
+        from scipy.spatial import cKDTree
+
+        self.where = np.flatnonzero(self.alive)
+        self.tree = cKDTree(self.points[self.where])
+
+    def near(self, rows, K):
+        """Each row's K nearest points, and its bound."""
+        K = min(K, self.where.size)
+        dist, idx = self.tree.query(self.points[rows], K)
+        r = dist[:, -1:]
+        return self.where[idx], np.inf if K == self.where.size else r * r * (1.0 - 1e-12)
+
+    def around(self, i, K):
+        """Every point as near to point i as its K-th nearest, and the bound."""
+        K = min(K, self.where.size)
+        dist, idx = self.tree.query(self.points[i], K)
+        if K == self.where.size:
+            return self.where[None, idx], np.inf
+        # a margin for rounding; a point farther than r = 0 differs in some column
+        r = dist[-1] * (1.0 + 1e-9)
+        idx = self.tree.query_ball_point(self.points[i], r)
+        return self.where[None, idx], max(r * r * (1.0 - 1e-12), np.nextafter(0.0, 1.0))
+
+
+class _SortSource:
+    """Candidates from the stable sort order of one column, over the points
+    unmatched at the last rebuild. In floats (a - b)**2 never decreases as b
+    walks away from a in that order, so each bound, the exact squared
+    distance of the first point past either end of a window, is at most
+    that of every point outside it."""
+
+    def __init__(self, points, alive):
+        self.x, self.alive, self.pos = points[:, 0], alive, np.empty(len(points), dtype=np.intp)
+        self.order = np.argsort(self.x, kind="stable")
+        self.rebuild()
+
+    def rebuild(self):
+        self.where = self.order[self.alive[self.order] != 0]
+        self.xs = self.x[self.where]
+        self.pos[self.where] = np.arange(self.where.size)
+
+    def near(self, rows, K):
+        """The K points on each side of each row, and its bound."""
+        m = self.where.size
+        span = self.pos[rows, None] + np.arange(-K - 1, K + 2)
+        # positions off either end stand for the row itself, which _ranked
+        # drops and whose bound is then infinite
+        units = np.where((span >= 0) & (span < m), self.where.take(span, mode="clip"),
+                         rows[:, None])
+        ends = units[:, ::span.shape[1] - 1]
+        gap = np.square(self.x[rows, None] - self.x[ends])
+        gap[ends == rows[:, None]] = np.inf
+        return units[:, 1:-1], gap.min(axis=1, keepdims=True)
+
+    def around(self, i, K):
+        """The K points on each side of point i with the ties at either end
+        of that window, and the bound."""
+        xs, m, p = self.xs, self.where.size, self.pos[i]
+        lo = xs.searchsorted(xs[max(p - K, 0)], "left")
+        hi = xs.searchsorted(xs[min(p + K, m - 1)], "right")
+        ends = [j for j in (lo - 1, hi) if 0 <= j < m]
+        return self.where[None, lo:hi], np.square(self.x[i] - xs[ends]).min(initial=np.inf)
 
 
 def _greedy_groups(points, k):
@@ -65,14 +134,11 @@ def _greedy_groups(points, k):
     neighbour and group it with its k-1 nearest unmatched neighbours, by
     exact squared distance. Distance ties break toward the lowest index.
 
-    Each point keeps its nearest points from a k-d tree (Friedman, Bentley &
-    Finkel 1977) in `_ranked` order and a pointer to the first unmatched one.
-    Only points whose nearest neighbour was just matched move their pointer;
-    one that runs off its list queries a tree of the unmatched points again,
-    which is rebuilt each time their count halves."""
-    # imported here: scipy.spatial adds ~0.15 s to the start-up of every command
-    from scipy.spatial import cKDTree
-
+    Each point keeps its nearest points in `_ranked` order, from a k-d tree
+    or, in one column, from the sort order, and a pointer to the first
+    unmatched one. Only points whose nearest neighbour was just matched move
+    their pointer; one that runs off its list asks the source again, which
+    is rebuilt over the unmatched points each time their count halves."""
     n = points.shape[0]
     if n <= k:
         return np.arange(n, dtype=np.intp).reshape(-1, k)
@@ -80,28 +146,16 @@ def _greedy_groups(points, k):
         points = np.zeros((n, 1))  # no columns: every distance is 0
     alive = bytearray(b"\x01") * n
     alive_np = np.frombuffer(alive, dtype=np.uint8)
-    tree, where = cKDTree(points), np.arange(n)
-    K = min(k + 4, n)
-    dist, idx = tree.query(points, K)
-    cand, cdist = _ranked(points, where, idx, alive_np,
-                          np.inf if K == n else _trusted(dist[:, -1:]))
+    source = (_SortSource if points.shape[1] == 1 else _TreeSource)(points, alive_np)
+    rows = np.arange(n)
+    cand, cdist = _ranked(points, rows, *source.near(rows, k + 4), alive_np)
 
     def refill(i, need):
         """List i's nearest unmatched points again, `need` of them or all."""
         K = 4 * need + 12
         while True:
-            K = min(K, where.size)
-            dist, idx = tree.query(points[i], K)
-            bound = np.inf
-            if K < where.size:
-                # every point as near as the K-th, and a margin for rounding;
-                # a point farther than r = 0 differs in some column
-                r = dist[-1] * (1.0 + 1e-9)
-                idx = tree.query_ball_point(points[i], r)
-                bound = max(_trusted(r), np.nextafter(0.0, 1.0))
-            (row,), (rdist,) = _ranked(points, np.array([i]), where[np.array(idx)][None, :],
-                                       alive_np, bound)
-            if len(row) >= need or K == where.size:
+            (row,), (rdist,) = _ranked(points, np.array([i]), *source.around(i, K), alive_np)
+            if len(row) >= need or K >= source.where.size:
                 cand[i], cdist[i], ptr[i] = row, rdist, 0
                 return
             K *= 2
@@ -133,9 +187,8 @@ def _greedy_groups(points, k):
             alive[j] = 0
         groups.append(members)
         remaining -= k
-        if 2 * remaining <= where.size:
-            where = np.flatnonzero(alive_np)
-            tree = cKDTree(points[where])
+        if 2 * remaining <= source.where.size:
+            source.rebuild()
         for j in members:
             for i in rev[j]:
                 if not alive[i] or nn[i] != j:

@@ -194,6 +194,32 @@ def test_simulate_rejects_bad_replicates(tmp_path, capsys, flag):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("key, value", [("replicates", 100.9), ("model", 2.5), ("dim_r", 3.5),
+                                        ("n", 60.5), ("n", True)])
+def test_simulation_spec_integers_are_not_truncated(tmp_path, capsys, key, value):
+    # int() ran "replicates": 100.9 as 100 replicates and exited 0
+    spec = {"model": 2, "dim_r": 3, "n": 60, "replicates": 100, key: value}
+    (tmp_path / "sim.json").write_text(json.dumps(spec))
+    assert main(["simulate", "--spec", str(tmp_path / "sim.json"),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert f"simulation spec: {key} must be an integer, got {value!r}" in err
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("key, value", [("k", 2.5), ("l", 1.5), ("max_draws", 100.9),
+                                        ("seed", 11.5), ("seed", False), ("k", "2")])
+def test_design_spec_integers_are_not_truncated(workspace, capsys, key, value):
+    tmp_path, cov, spec_path, _ = workspace
+    spec = json.loads(spec_path.read_text())
+    spec[key] = value
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov), "--out", str(out)]) == 2
+    assert f"design spec: {key} must be an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_writes_threshold(workspace, capsys):
     tmp_path, cov, spec_path, _ = workspace
     spec = json.loads(spec_path.read_text())
@@ -532,6 +558,63 @@ def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, mes
     capsys.readouterr()
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def _scipy_after(tmp_path, code):
+    """Run code in a fresh interpreter on this checkout's source, and return
+    what it prints and the scipy modules loaded by its end."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code += ("\nimport json, sys\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True, cwd=tmp_path)
+    *lines, modules = out.stdout.strip().splitlines()
+    return lines, json.loads(modules)
+
+
+def test_cli_import_loads_no_scipy(tmp_path):
+    assert _scipy_after(tmp_path, "import finestrat.cli") == ([], [])
+
+
+def test_sorted_1d_calibrate_of_a_fixed_region_loads_no_scipy(workspace):
+    # one-column matching and pairing take their candidates from the sort
+    # order, and a box needs no quantile
+    tmp_path, cov, spec_path, _ = workspace
+    spec = json.loads(spec_path.read_text())
+    spec.update(match={"method": "sorted-1d"},
+                region={"shape": "rectangle-polar", "a": [-0.5, 0.1], "b": [0.5, 1.2], "eps": 1.0})
+    spec_path.write_text(json.dumps(spec))
+    lines, modules = _scipy_after(tmp_path, (
+        "from finestrat.cli import main\n"
+        "print(main(['calibrate', '--spec', 'design.json', '--data', 'cov.csv',"
+        " '--out', 'region.json', '--alpha', '0.2', '--draws', '600']))"))
+    assert lines[-1] == "0" and modules == []
+    assert json.loads((tmp_path / "region.json").read_text())["eps"] > 0
+
+
+def test_mahalanobis_assign_keeps_its_threshold_and_assignment(workspace):
+    # scipy.special loads when the chi-square quantile is first needed; the
+    # threshold must still be chi2.ppf(alpha, d_h), and the draw count and d
+    # are those recorded with scipy.special imported at start-up
+    from scipy import stats
+
+    tmp_path, cov, spec_path, _ = workspace
+    lines, modules = _scipy_after(tmp_path, (
+        "from finestrat.cli import main\n"
+        "print(main(['assign', '--spec', 'design.json', '--data', 'cov.csv',"
+        " '--out', 'assign.csv', '--trace', 'trace.csv']))"))
+    assert lines[-1] == "0" and "scipy.special" in modules
+    manifest = json.loads((tmp_path / "assign.csv.manifest.json").read_text())
+    d = "".join(map(str, manifest["d"]))
+    assert manifest["draws_to_accept"] == 155
+    assert d == ("01111100111000101000000100010001000011110000011111"
+                 "01111111011000111101100000010010110011110001111010")
+    with open(tmp_path / "trace.csv") as fh:
+        trace = list(csv.DictReader(fh))
+    threshold = stats.chi2.ppf(0.01, df=2)
+    assert [float(r["penalty"]) <= threshold for r in trace] == [r["accepted"] == "True"
+                                                                 for r in trace]
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_linalg():

@@ -271,3 +271,35 @@ def test_bad_outcome_row_exit_2_names_row(assigned, row, other, fault, token):
                             "--out", str(tmp / "bad-report.json")])
     assert rc == 2
     assert all(part in err for part in expected), err
+
+
+@pytest.mark.parametrize("method", ["sorted-1d", "greedy-nn"])
+@pytest.mark.parametrize("k, l", [(2, 1), (3, 1), (4, 2)])
+def test_assign_then_estimate_returns_a_constant_effect_exactly(tmp_path, k, l, method):
+    """y = c + tau * d gives tau, adjusted or not; a baseline that is
+    constant within each matched group still gives tau unadjusted."""
+    gen = np.random.default_rng(10 * k + l)
+    n, tau = 48, 2.25
+    ids = [f"u{i}" for i in range(n)]
+    columns = zip(ids, *_dyadic(gen, (3, n)).tolist())
+    (tmp_path / "cov.csv").write_text("id,psi,h1,h2\n" + "".join(
+        f"{u},{a!r},{b!r},{c!r}\n" for u, a, b, c in columns))
+    (tmp_path / "design.json").write_text(json.dumps({
+        "roles": {"id": "id", "psi": "psi", "h1": ["h", "w"], "h2": ["h", "w"]},
+        "k": k, "l": l, "match": {"method": method}, "seed": 5}))
+    assert main(["assign", "--spec", str(tmp_path / "design.json"),
+                 "--data", str(tmp_path / "cov.csv"), "--out", str(tmp_path / "a.csv")]) == 0
+    manifest = json.loads((tmp_path / "a.csv.manifest.json").read_text())
+    group = np.empty(n, dtype=int)
+    group[np.asarray(manifest["partition"]["groups"])] = np.arange(n // k)[:, None]
+    for baseline, adjusted in ((np.full(n, 1.5), True), ((group % 7 - 3) * 0.5, False)):
+        y = baseline + tau * np.asarray(manifest["d"])
+        (tmp_path / "y.csv").write_text("id,y\n" + "".join(
+            f"{u},{v!r}\n" for u, v in zip(ids, y.tolist())))
+        assert main(["estimate", "--manifest", str(tmp_path / "a.csv.manifest.json"),
+                     "--data", str(tmp_path / "cov.csv"), "--outcomes", str(tmp_path / "y.csv"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["theta_hat"] == [tau]
+        if adjusted:
+            assert report["theta_adj"] == [tau]

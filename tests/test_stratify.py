@@ -10,6 +10,7 @@ from finestrat import (
     match_k_tuples,
     pair_groups_by_centroid,
 )
+from finestrat.stratify import _SortSource, _TreeSource
 
 
 def _groups_as_sets(partition):
@@ -176,6 +177,64 @@ def test_greedy_ties_break_toward_the_lowest_index(k):
         psi = np.random.default_rng(seed).integers(0, 3, size=(12 * k, 2)).astype(float)
         part = match_k_tuples(psi, MatchConfig(k, 1, method="greedy-nn"))
         np.testing.assert_array_equal(part.groups, _greedy_reference(psi, k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_greedy_matches_full_rescan_reference_in_one_column(k):
+    # one column takes its candidates from the sort order, not a k-d tree
+    for seed in range(5):
+        psi = np.random.default_rng(seed).standard_normal((60, 1))
+        part = match_k_tuples(psi, MatchConfig(k, 1, method="greedy-nn"))
+        np.testing.assert_array_equal(part.groups, _greedy_reference(psi, k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_greedy_ties_break_toward_the_lowest_index_in_one_column(k):
+    # duplicated values, equal spacing, and 0.1 * i, whose squared gaps
+    # collide or split after rounding; the window's ends must not cut a tie
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        n = 12 * k
+        for psi in (gen.integers(0, 4, size=n).astype(float), gen.permutation(n) * 1.0,
+                    0.1 * gen.permutation(n), 0.1 * gen.integers(0, n // 2, size=n)):
+            part = match_k_tuples(psi, MatchConfig(k, 1, method="greedy-nn"))
+            np.testing.assert_array_equal(part.groups, _greedy_reference(psi[:, None], k))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_greedy_without_columns_groups_by_index(k):
+    # every distance is 0, so each anchor takes the lowest unmatched indices
+    psi = np.zeros((12 * k, 0))
+    part = match_k_tuples(psi, MatchConfig(k, 1, method="greedy-nn"))
+    np.testing.assert_array_equal(part.groups, _greedy_reference(psi, k))
+    assert part.homogeneity == 0.0
+
+
+@pytest.mark.parametrize("source", [_SortSource, _TreeSource])
+def test_candidate_bounds_hold_every_point_left_out(source):
+    # the matcher trusts a candidate list up to its bound: no point of the
+    # source (matched since the last rebuild or not) may lie nearer and be
+    # left out. Rounded Cauchy values give ties, gaps and long tails
+    gen = np.random.default_rng(4)
+    d = 1 if source is _SortSource else 2
+    points = np.round(gen.standard_cauchy((400, d)), 1)
+    alive = (gen.random(400) < 0.7).astype(np.uint8)
+    src = source(points, alive)
+    alive[gen.random(400) < 0.3] = 0
+    rows = np.flatnonzero(alive)
+
+    def assert_bound(i, idx, bound):
+        out = np.setdiff1d(src.where, idx)
+        ex = np.square(points[out, 0] - points[i, 0])
+        for c in range(1, d):
+            ex += np.square(points[out, c] - points[i, c])
+        assert (ex >= bound).all()
+
+    for K in (2, 5, 16):
+        idx, bound = src.near(rows, K)
+        for r, i in enumerate(rows):
+            assert_bound(i, idx[r], np.broadcast_to(bound, (rows.size, 1))[r, 0])
+            assert_bound(i, *src.around(i, K))
 
 
 def _traced_peak(fn, *args):
