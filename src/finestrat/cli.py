@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .adjust import two_step_adjust
 from .core import (
@@ -97,12 +99,11 @@ def cmd_assign(args):
     max_draws = _spec_int(spec, "max_draws", "design spec", 10000)
     draw = rerandomize(partition, table.h, region, RngSpec(seed, 1), max_draws=max_draws)
 
-    group_of = partition.group_of()
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "group", "d"])
-        for i in range(table.n):
-            writer.writerow([table.ids[i], int(group_of[i]), int(draw.d[i])])
+        writer.writerows(zip(table.ids.tolist(), partition.group_of().tolist(),
+                             draw.d.tolist()))
     if args.trace is not None:
         # rerandomize stops at the first accepted draw, so only the last can be
         with open(args.trace, "w", newline="", encoding="utf-8") as fh:
@@ -124,7 +125,9 @@ def cmd_assign(args):
     }
     manifest_path = args.manifest or args.out + ".manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh)  # compact: groups, pairing and d have n entries
+        # one string from the C encoder (json.dump runs the Python one); no
+        # indent, as groups, pairing and d have n entries
+        fh.write(json.dumps(manifest))
     if not draw.accepted:
         print(
             f"warning: acceptance region not reached in {max_draws} draws; "
@@ -163,8 +166,16 @@ def cmd_estimate(args):
     y, d_endog = _read_outcomes(args.outcomes, table.ids)
     estimand = args.estimand or spec.get("estimand", "sate")
     est_spec = estimand_by_name(estimand)
+    if partition.n != table.n:
+        raise ConfigError(f"manifest partition covers {partition.n} units, "
+                          f"the covariates {table.n}")
     frame = ExperimentFrame(covariates=table, d=manifest["d"], p=partition.p, y=y,
                             d_endog=d_endog)
+    treated = np.bincount(partition.group_of(), weights=frame.d)
+    bad = np.flatnonzero(treated != partition.l)
+    if bad.size:
+        raise ConfigError(f"manifest d treats {int(treated[bad[0]])} units in group "
+                          f"{bad[0]}; the design treats l = {partition.l} in each group")
     fit, adj = two_step_adjust(frame, partition, est_spec, w=table.w,
                                w_names=table.w_names)
     comp = variance_components(frame, partition, adj, fit, spec=est_spec)

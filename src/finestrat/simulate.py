@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -509,8 +508,10 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     chunks = [range(i, replicates, workers) for i in range(workers)]
     if workers > 1:
         # forked workers share this process's imports: load the matcher's
-        # k-d tree module and the quantiles' scipy.special once here, not
-        # once in every worker
+        # k-d tree module and the chi-square threshold's scipy.special once
+        # here, not once in every worker. The pool itself loads only here
+        from concurrent.futures import ProcessPoolExecutor
+
         import scipy.spatial  # noqa: F401
         import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:

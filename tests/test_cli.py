@@ -508,6 +508,32 @@ def test_simulate_noncompliance_estimand_exit_2(tmp_path, capsys, estimand):
     assert "needs a DGP with noncompliance" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k, l, n", [(6, 3, 120), (2, 1, 20)])
+def test_estimate_refuses_a_d_off_the_design(tmp_path, capsys, k, l, n):
+    # moving one treated unit from group 1 to group 0 keeps sum(d) = n*p: with
+    # k = 6 estimate used to report on it, and with pairs it named no group
+    ids = [f"u{i}" for i in range(n)]
+    cov, spec_path = _id_workspace(tmp_path, ids)
+    spec_path.write_text(json.dumps(dict(json.loads(spec_path.read_text()), k=k, l=l)))
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(out)]) == 0
+    manifest_path = tmp_path / "assign.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    groups, d = manifest["partition"]["groups"], manifest["d"]
+    d[next(i for i in groups[1] if d[i] == 1)] = 0
+    d[next(i for i in groups[0] if d[i] == 0)] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    (tmp_path / "y.csv").write_text("id,y\n" + "".join(f"{u},{i}.5\n" for i, u in enumerate(ids)))
+    capsys.readouterr()
+    assert main(["estimate", "--manifest", str(manifest_path), "--data", str(cov),
+                 "--outcomes", str(tmp_path / "y.csv"),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert (f"manifest d treats {l + 1} units in group 0; the design treats l = {l} "
+            "in each group") in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 def _drop(key):
     return lambda doc: doc.pop(key)
 
@@ -527,12 +553,15 @@ def _set_first_treated(value):
     ("manifest", _set_first_treated(2), "d must be binary"),
     ("manifest", _set_first_treated(0.5), "d must be binary"),
     ("manifest", lambda m: m.update(extra=1), "unknown keys ['extra']"),
+    ("manifest", lambda m: m.update(partition={"k": 2, "l": 1, "groups": [[0, 1], [2, 3]],
+                                               "pairing": [1, 0]}),
+     "manifest partition covers 4 units, the covariates 20"),
     # an outcomes d of 2.5 used to give a LATE estimate
     ("outcomes", lambda lines: lines.__setitem__(3, lines[3][:-1] + "2.5"), "must be 0 or 1"),
     ("simulation spec", _drop("model"), "simulation spec is missing required key 'model'"),
     ("simulation spec", _drop("n"), "missing required key 'n'"),
 ], ids=["no-d", "no-partition", "no-spec", "no-hash", "no-roles", "no-groups", "short-d",
-        "d-2", "d-half", "extra-key", "outcome-d", "sim-no-model", "sim-no-n"])
+        "d-2", "d-half", "extra-key", "partition-n", "outcome-d", "sim-no-model", "sim-no-n"])
 def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, message):
     ids = [f"u{i}" for i in range(20)]
     cov, spec_path = _id_workspace(tmp_path, ids)
@@ -560,21 +589,40 @@ def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, mes
     assert message in capsys.readouterr().err
 
 
-def _scipy_after(tmp_path, code):
+def _scipy_after(tmp_path, code, roots=("scipy",)):
     """Run code in a fresh interpreter on this checkout's source, and return
-    what it prints and the scipy modules loaded by its end."""
+    what it prints and the modules under ``roots`` (packages or modules,
+    scipy by default) loaded by its end."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    prefixes = tuple(root + "." for root in roots)
     code += ("\nimport json, sys\n"
-             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+             f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith({prefixes!r}))))")
     out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                          capture_output=True, text=True, check=True, cwd=tmp_path)
     *lines, modules = out.stdout.strip().splitlines()
     return lines, json.loads(modules)
 
 
-def test_cli_import_loads_no_scipy(tmp_path):
-    assert _scipy_after(tmp_path, "import finestrat.cli") == ([], [])
+def test_cli_import_loads_no_scipy(workspace):
+    # the process pool loads only when simulate forks workers
+    tmp_path, cov, spec_path, _ = workspace
+    assert _scipy_after(tmp_path, "import finestrat.cli",
+                        roots=("scipy", "concurrent.futures.process")) == ([], [])
+    # the interval quantile is a port of Cephes ndtri, so estimate (GMM,
+    # adjustment, variance, intervals) needs no SciPy module
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(tmp_path / "assign.csv")]) == 0
+    with open(tmp_path / "assign.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    (tmp_path / "y.csv").write_text("id,y\n" + "".join(
+        f"{r['id']},{i % 7 + 0.5 * int(r['d'])}\n" for i, r in enumerate(rows)))
+    lines, modules = _scipy_after(tmp_path, (
+        "from finestrat.cli import main\n"
+        "print(main(['estimate', '--manifest', 'assign.csv.manifest.json', '--data', 'cov.csv',"
+        " '--outcomes', 'y.csv', '--out', 'report.json']))"))
+    assert lines[-1] == "0" and modules == []
+    assert np.isfinite(json.loads((tmp_path / "report.json").read_text())["ci_pop"][0]["lo"])
 
 
 def test_sorted_1d_calibrate_of_a_fixed_region_loads_no_scipy(workspace):

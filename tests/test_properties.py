@@ -5,6 +5,8 @@ The last tests cover the input boundary: CSV round-trips and malformed
 covariate and outcome files through the CLI."""
 
 import contextlib
+import csv
+import hashlib
 import io
 import json
 
@@ -20,10 +22,12 @@ from finestrat import (
     MahalanobisRegion,
     MatchConfig,
     RngSpec,
+    design_partition,
     draw_stratified,
     fit_adjustment,
     load_covariates,
     match_k_tuples,
+    region_from_dict,
     rerandomize,
     score_sate,
     solve_gmm,
@@ -303,3 +307,79 @@ def test_assign_then_estimate_returns_a_constant_effect_exactly(tmp_path, k, l, 
         assert report["theta_hat"] == [tau]
         if adjusted:
             assert report["theta_adj"] == [tau]
+
+
+@pytest.fixture(scope="module")
+def roundtrip_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip")
+
+
+def _bits(value):
+    return None if value is None else float(value).hex()
+
+
+@given(data=st.data(), k=st.integers(min_value=2, max_value=4),
+       pairs=st.integers(min_value=2, max_value=4), seed=st.integers(min_value=0, max_value=2**32),
+       accept=st.floats(min_value=0.05, max_value=0.95),
+       ci_alpha=st.floats(min_value=0.01, max_value=0.5))
+@settings(max_examples=15, deadline=None)
+def test_assign_manifest_round_trips_bit_for_bit(roundtrip_dir, data, k, pairs, seed, accept,
+                                                 ci_alpha):
+    """The manifest and CSV that assign writes load back to the partition,
+    draw, seed and spec the library computes, bit for bit, and estimate
+    accepts the manifest."""
+    tmp = roundtrip_dir
+    l = data.draw(st.integers(min_value=1, max_value=k - 1))
+    columns = data.draw(st.integers(min_value=1, max_value=2))
+    method = data.draw(st.sampled_from(["sorted-1d", "greedy-nn"] if columns == 1
+                                       else ["greedy-nn"]))
+    n = 2 * pairs * k  # an even group count, so groups can always be paired
+    ids = data.draw(st.lists(st.text("ab09_-", min_size=1, max_size=4), min_size=n, max_size=n,
+                             unique=True))
+    gen = np.random.default_rng(seed)
+    names = [f"p{j}" for j in range(columns)] + ["h1"]
+    (tmp / "cov.csv").write_text(",".join(["id"] + names) + "\n" + "".join(
+        ",".join([u] + [repr(v) for v in row]) + "\n"
+        for u, row in zip(ids, gen.standard_normal((n, columns + 1)).tolist())))
+    spec = {"roles": {"id": "id", "p0": ["psi", "h"], **{c: "psi" for c in names[1:-1]},
+                      "h1": "h"},
+            "k": k, "l": l, "match": {"method": method}, "alpha": ci_alpha,
+            "region": {"shape": "mahalanobis", "alpha": accept}, "seed": seed, "max_draws": 50}
+    (tmp / "design.json").write_text(json.dumps(spec))
+    rc, err = _main_stderr(["assign", "--spec", str(tmp / "design.json"),
+                            "--data", str(tmp / "cov.csv"), "--out", str(tmp / "a.csv")])
+    assert rc == 0, err
+
+    table = load_covariates(tmp / "cov.csv", spec["roles"])
+    partition = design_partition(table.psi, MatchConfig(k=k, l=l, method=method),
+                                 RngSpec(seed, 0))
+    draw = rerandomize(partition, table.h, region_from_dict(spec["region"]), RngSpec(seed, 1),
+                       max_draws=50)
+    manifest = json.loads((tmp / "a.csv.manifest.json").read_text())
+    back = GroupPartition.from_json_dict(manifest["partition"])
+    assert back.groups.tobytes() == partition.groups.tobytes()
+    assert (back.pairing is None) == (partition.pairing is None) == (min(l, k - l) >= 2)
+    if back.pairing is not None:
+        assert back.pairing.tobytes() == partition.pairing.tobytes()
+    for stat in ("homogeneity", "pairing_stat"):
+        assert _bits(getattr(back, stat)) == _bits(getattr(partition, stat))
+    assert manifest["d"] == draw.d.tolist()
+    assert (manifest["draws_to_accept"], manifest["accepted"]) == (draw.draw_index,
+                                                                    draw.accepted)
+    assert _bits(manifest["penalty"]) == _bits(draw.penalty)
+    assert manifest["seed"] == seed
+    assert json.dumps(manifest["spec"], sort_keys=True) == json.dumps(spec, sort_keys=True)
+    digest = hashlib.sha256((tmp / "cov.csv").read_bytes()).hexdigest()
+    assert manifest["covariates_sha256"] == digest
+    with open(tmp / "a.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["id", "group", "d"]] + [
+        [u, str(g), str(v)] for u, g, v in zip(ids, partition.group_of().tolist(), manifest["d"])]
+
+    (tmp / "y.csv").write_text("id,y\n" + "".join(
+        f"{u},{v!r}\n" for u, v in zip(ids, gen.standard_normal(n).tolist())))
+    rc, err = _main_stderr(["estimate", "--manifest", str(tmp / "a.csv.manifest.json"),
+                            "--data", str(tmp / "cov.csv"), "--outcomes", str(tmp / "y.csv"),
+                            "--out", str(tmp / "report.json")])
+    assert rc == 0, err
+    assert json.loads((tmp / "report.json").read_text())["alpha"] == ci_alpha

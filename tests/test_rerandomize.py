@@ -153,7 +153,9 @@ QUANTILE_GRID = [1e-12, 1e-9, 1e-6, 0.002, 0.01, 0.05, 0.1, 0.25, 0.5,
 
 
 def test_quantiles_equal_scipy_stats_bit_for_bit():
-    # the runtime quantiles come from scipy.special; scipy.stats is the reference
+    # the chi-square quantiles come from scipy.special, the normal one from a
+    # port of Cephes ndtri; scipy.stats and scipy.special are the references
+    from scipy.special import ndtri
     from scipy.stats import chi2, norm
 
     for df in range(1, 41):
@@ -164,6 +166,28 @@ def test_quantiles_equal_scipy_stats_bit_for_bit():
             assert np.array_equal(region.U, np.sqrt(float(chi2.ppf(1.0 - q, df))) * root)
     for q in QUANTILE_GRID + [1e-300, 1e-100, 1 - 1e-12]:
         assert normal_quantile(q) == float(norm.ppf(q))
+
+    # ndtri's branches: |q - 1/2| <= 1/2 - exp(-2), then sqrt(-2 log q) below
+    # 8 (q > exp(-32)) and from 8 on, each mirrored near 1
+    gen = np.random.default_rng(20240611)
+    sweep = [gen.uniform(math.exp(-2), 1 - math.exp(-2), 3000),
+             np.exp(-gen.uniform(2, 32, 3000)), np.exp(-gen.uniform(32, 744, 3000)),
+             1 - np.exp(-gen.uniform(2, 36, 3000))]
+    for edge in (math.exp(-2), 1 - math.exp(-2), math.exp(-32)):
+        below = above = edge
+        for _ in range(50):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            sweep.append([below, edge, above])
+    tiny = np.finfo(np.float64).smallest_subnormal
+    sweep.append([tiny, 2 * tiny, 1e-310, np.finfo(np.float64).tiny, 0.0, -0.0, 1.0,
+                  np.nextafter(1.0, 0.0), -tiny, -1e-300, -1.0, 1 + 2.2e-16, 2.0,
+                  np.inf, -np.inf, np.nan])
+    q = np.concatenate(sweep)
+    got = np.array([normal_quantile(v) for v in q])
+    want = ndtri(q)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    ok = ~np.isnan(want)  # NaN counts as equal to NaN; every other value bit for bit
+    assert np.array_equal(got[ok].view(np.int64), want[ok].view(np.int64))
 
 
 def test_chi2_threshold_alpha_guard():
