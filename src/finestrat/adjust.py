@@ -16,6 +16,7 @@ import numpy as np
 from .core import (
     ConfigError,
     SingularityError,
+    as_matrix,
     cov_n,
     horvitz_thompson_weights,
     rank_checked_cholesky,
@@ -33,10 +34,8 @@ class AdjustmentFit:
     beta1: np.ndarray
     beta0: np.ndarray
     theta_adj: np.ndarray
-    gram: np.ndarray  # E_n[wcheck wcheck']
-    cond: float
+    cond: float  # of the Gram matrix E_n[wcheck wcheck']
     w: np.ndarray  # adjustment covariates actually used
-    iterations: int = 1
 
 
 def _gram_cholesky(gram, cond, names):
@@ -62,24 +61,21 @@ def fit_adjustment(fit, frame, partition, w=None, w_names=None):
     on demeaned adjustment covariates, and the adjusted point estimate
     theta_adj = theta - E_n[H * alpha'w]."""
     u = fit.scores @ fit.Pi.T  # (n, d_theta) influence contributions
-    return _adjust(fit, frame, partition, w, w_names, u, 1)
+    return _adjust(fit, frame, partition, w, w_names, u)
 
 
-def _adjust(fit, frame, partition, w, w_names, u, iteration):
+def _adjust(fit, frame, partition, w, w_names, u):
     """fit_adjustment for given (n, d_theta) influence contributions u."""
     if w is None:
         w = frame.covariates.w
         w_names = w_names or frame.covariates.w_names
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim == 1:
-        w = w[:, None]
+    w = as_matrix(w, "w")
     n, d_w = w.shape
     if d_w == 0:
         d_theta = fit.theta.size
         return AdjustmentFit(
             alpha=np.zeros((0, d_theta)), beta1=np.zeros((0, d_theta)),
-            beta0=np.zeros((0, d_theta)), theta_adj=fit.theta.copy(),
-            gram=np.zeros((0, 0)), cond=1.0, w=w, iterations=iteration,
+            beta0=np.zeros((0, d_theta)), theta_adj=fit.theta.copy(), cond=1.0, w=w,
         )
     names = w_names or tuple(f"w{j}" for j in range(d_w))
     scale = np.abs(w).max(axis=0)
@@ -102,10 +98,8 @@ def _adjust(fit, frame, partition, w, w_names, u, iteration):
     alpha = beta1 - beta0
     hw = horvitz_thompson_weights(frame)
     theta_adj = fit.theta - (hw[:, None] * w).mean(axis=0) @ alpha
-    return AdjustmentFit(
-        alpha=alpha, beta1=beta1, beta0=beta0, theta_adj=theta_adj,
-        gram=gram, cond=cond, w=w, iterations=iteration,
-    )
+    return AdjustmentFit(alpha=alpha, beta1=beta1, beta0=beta0, theta_adj=theta_adj,
+                         cond=cond, w=w)
 
 
 def two_step_adjust(frame, partition, spec, w=None, iterations=1, theta_init=None,
@@ -118,10 +112,10 @@ def two_step_adjust(frame, partition, spec, w=None, iterations=1, theta_init=Non
     fit = solve_gmm(frame, spec, theta_init=theta_init)
     adj = fit_adjustment(fit, frame, partition, w=w, w_names=w_names)
     theta_prev = adj.theta_adj
-    for it in range(2, iterations + 1):
+    for _ in range(2, iterations + 1):
         scores = np.atleast_2d(spec.score(frame, theta_prev))
         u = scores @ fit.Pi.T
-        adj = _adjust(fit, frame, partition, adj.w, w_names, u, it)
+        adj = _adjust(fit, frame, partition, adj.w, w_names, u)
         if np.abs(adj.theta_adj - theta_prev).max() < 1e-8:
             break
         theta_prev = adj.theta_adj
@@ -141,7 +135,7 @@ def one_step_cate_adjust(frame, partition, w=None, w_names=None):
     fit = solve_gmm(frame, score_cate_blp())
     hy = horvitz_thompson_weights(frame) * frame.y
     u = (hy[:, None] * x) @ np.linalg.inv(x.T @ x / frame.n)
-    return fit, _adjust(fit, frame, partition, w, w_names, u, 1)
+    return fit, _adjust(fit, frame, partition, w, w_names, u)
 
 
 def double_robustness_decomposition(frame, partition, fit, adj, gamma0, sate=None):

@@ -29,6 +29,7 @@ from .core import (
     check_keys,
     load_covariates,
     read_csv,
+    spec_number,
 )
 from .gmm import estimand_by_name
 from .inference import confidence_intervals, variance_components
@@ -66,13 +67,12 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _spec_int(spec, key, what, default=None):
-    """spec[key], or the default when it is absent, as an int. A bool, a
-    string or a number with a fractional part is refused, not truncated."""
-    value = spec.get(key, default)
-    if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{what}: {key} must be an integer, got {value!r}")
+def _design_alpha(spec, what):
+    """The interval level of a design spec, refused outside (0, 1)."""
+    alpha = spec_number(spec, "alpha", what, 0.05)
+    if not 0.0 < alpha < 1.0:
+        raise ConfigError(f"{what}: alpha must lie in (0, 1), got {alpha!r}")
+    return alpha
 
 
 def _read_design(args):
@@ -82,8 +82,9 @@ def _read_design(args):
     check_keys(spec, _DESIGN_KEYS, "design spec", _DESIGN_REQUIRED)
     match = spec.get("match", {})
     check_keys(match, _MATCH_KEYS, "match block")
-    seed = args.seed if args.seed is not None else _spec_int(spec, "seed", "design spec", 0)
-    k, l = (_spec_int(spec, key, "design spec") for key in ("k", "l"))
+    seed = args.seed if args.seed is not None else spec_number(spec, "seed", "design spec", 0, int)
+    k, l = (spec_number(spec, key, "design spec", kind=int) for key in ("k", "l"))
+    _design_alpha(spec, "design spec")  # refused here, not after the experiment
     table = load_covariates(args.data, spec["roles"])
     cfg = MatchConfig(
         k=k, l=l, psi_weights=match.get("weights"),
@@ -96,7 +97,7 @@ def _read_design(args):
 
 def cmd_assign(args):
     spec, seed, table, partition, region = _read_design(args)
-    max_draws = _spec_int(spec, "max_draws", "design spec", 10000)
+    max_draws = spec_number(spec, "max_draws", "design spec", 10000, int)
     draw = rerandomize(partition, table.h, region, RngSpec(seed, 1), max_draws=max_draws)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
@@ -179,7 +180,7 @@ def cmd_estimate(args):
     fit, adj = two_step_adjust(frame, partition, est_spec, w=table.w,
                                w_names=table.w_names)
     comp = variance_components(frame, partition, adj, fit, spec=est_spec)
-    alpha = float(spec.get("alpha", 0.05))
+    alpha = _design_alpha(spec, "manifest spec")
     report = confidence_intervals(
         fit, adj, comp,
         flags={"estimand": estimand, "collapsed_strata": comp.used_collapsed,
@@ -205,21 +206,23 @@ def cmd_simulate(args):
     check_keys(spec, _SIM_KEYS, "simulation spec", _SIM_REQUIRED)
     what = "simulation spec"
     replicates = (args.replicates if args.replicates is not None
-                  else _spec_int(spec, "replicates", what, 1000))
-    seed = args.seed if args.seed is not None else _spec_int(spec, "seed", what, 0)
+                  else spec_number(spec, "replicates", what, 1000, int))
+    seed = args.seed if args.seed is not None else spec_number(spec, "seed", what, 0, int)
     # one worker process per CPU this process may use (at most one per
     # replicate) unless told otherwise; the results do not depend on the count
     threads = args.threads
     if threads is None and spec.get("threads") is not None:
-        threads = _spec_int(spec, "threads", what)
+        threads = spec_number(spec, "threads", what, kind=int)
     elif threads is None:
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    model, dim_r, n = (_spec_int(spec, key, what) for key in ("model", "dim_r", "n"))
-    dgp = DgpSpec(model=model, dim_r=dim_r, n=n, p=float(spec.get("p", 0.5)))
+    model, dim_r, n = (spec_number(spec, key, what, kind=int) for key in ("model", "dim_r", "n"))
+    dgp = DgpSpec(model=model, dim_r=dim_r, n=n, p=spec_number(spec, "p", what, 0.5))
     wanted = spec.get("designs", ["C", "S", "SR"])
+    if not (isinstance(wanted, list) and wanted and all(isinstance(w, str) for w in wanted)):
+        raise ConfigError(f"{what}: designs must be a list of design names, got {wanted!r}")
     available = {d.name: d for d in benchmark_designs(
-        dgp.model, dgp.dim_r, accept_alpha=float(spec.get("accept_alpha", 1.0 / 500.0)))}
+        dgp.model, dgp.dim_r, accept_alpha=spec_number(spec, "accept_alpha", what, 1.0 / 500.0))}
     unknown = [w for w in wanted if w not in available]
     if unknown:
         raise ConfigError(f"unknown designs {unknown}; available: {sorted(available)}")
@@ -227,7 +230,7 @@ def cmd_simulate(args):
     result = run_monte_carlo(
         designs, dgp, replicates, seed,
         estimand=spec.get("estimand", "sate"),
-        ci_alpha=float(spec.get("ci_alpha", 0.05)),
+        ci_alpha=spec_number(spec, "ci_alpha", what, 0.05),
         threads=threads,
     )
     result.to_csv(args.out)

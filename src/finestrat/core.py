@@ -51,9 +51,8 @@ def read_only(a):
     return a
 
 
-def _as_matrix(a, n, name):
-    if a is None:
-        return np.zeros((n, 0), dtype=np.float64)
+def as_matrix(a, name):
+    """``a`` as a float64 matrix; a 1-d input becomes one column."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
@@ -87,7 +86,8 @@ class CovariateTable:
         if n is None:
             raise LoadError("empty covariate table")
         for role in ROLE_NAMES:
-            mat = _as_matrix(getattr(self, role), n, role)
+            mat = getattr(self, role)
+            mat = np.zeros((n, 0)) if mat is None else as_matrix(mat, role)
             if mat.shape[0] != n:
                 raise LoadError(
                     f"role '{role}' has {mat.shape[0]} rows, expected {n}"
@@ -145,6 +145,18 @@ def check_keys(doc, allowed, what, required=()):
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
+
+
+def spec_number(doc, key, what, default=None, kind=float):
+    """doc[key], or the default when it is absent, as a ``kind`` (int or
+    float). A bool, a string, null or, for an int, a number with a fractional
+    part is refused naming the key, not truncated or left to fail later."""
+    value = doc.get(key, default)
+    number = isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
+    if number and (kind is float or value % 1 == 0):
+        return kind(value)
+    noun = "an integer" if kind is int else "a number"
+    raise ConfigError(f"{what}: {key} must be {noun}, got {value!r}")
 
 
 # rows whose cell strings are held at once; each block becomes float64 as
@@ -238,6 +250,8 @@ def load_covariates(source, role_map):
     roles. Columns absent from the map are ignored, and rows follow
     ``read_csv``'s policy. A column shared by several roles is read once.
     """
+    if not isinstance(role_map, dict):
+        raise ConfigError(f"roles must map column names to roles, got {role_map!r}")
     roles = {r: [] for r in ROLE_NAMES}
     id_col = None
     for col, role_spec in role_map.items():

@@ -36,7 +36,6 @@ class GmmFit:
     Pi: np.ndarray  # (d_theta, d_g), equals -G^{-1}
     G: np.ndarray
     scores: np.ndarray  # (n, d_g) evaluated at theta
-    converged: bool
     iterations: int
     trace: tuple = ()
 
@@ -140,10 +139,7 @@ def solve_gmm(frame, spec, theta_init=None, tol=1e-10, max_iter=200):
     except np.linalg.LinAlgError:
         raise EstimationError(f"gmm[{spec.name}]: singular Jacobian at solution", list(trace))
     scores = np.atleast_2d(spec.score(frame, theta))
-    return GmmFit(
-        theta=theta, Pi=Pi, G=G, scores=scores,
-        converged=True, iterations=iters, trace=trace,
-    )
+    return GmmFit(theta=theta, Pi=Pi, G=G, scores=scores, iterations=iters, trace=trace)
 
 
 def assignment_component(fit, frame=None, spec=None):

@@ -27,6 +27,7 @@ each method a region lacks.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -37,9 +38,11 @@ from .core import (
     ExperimentFrame,
     SingularityError,
     as_generator,
+    as_matrix,
     check_keys,
     psd_root,
     rank_checked_cholesky,
+    spec_number,
 )
 from .gmm import fd_jacobian, newton_root
 from .randomize import (
@@ -83,9 +86,7 @@ def mahalanobis_stat(frame, partition, x=None):
     dim(x) degrees of freedom under pure within-group randomization."""
     if x is None:
         x = frame.covariates.h
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
+    x = as_matrix(x, "x")
     raw = np.sqrt(frame.n) * (x[frame.d == 1].mean(axis=0) - x[frame.d == 0].mean(axis=0))
     bound = MahalanobisRegion(eps2=1.0).bind(x, partition, frame.p)
     return ImbalanceStat(kind="mahalanobis", value=float(bound.penalty(raw[None])[0]), raw=raw)
@@ -347,14 +348,13 @@ class PropensityRegion(AcceptanceRegion):
 
     eps2: float
     link: str = "logit"
-    add_intercept: bool = True
 
     shape = "propensity-threshold"
 
     def bind(self, h, partition, p):
         if h.shape[1] == 0:
             raise ConfigError("propensity region needs balance covariates (d_h = 0)")
-        X = np.column_stack([np.ones(h.shape[0]), h]) if self.add_intercept else h
+        X = np.column_stack([np.ones(h.shape[0]), h])
 
         def penalty(d):
             # separation means covariates perfectly predict the draw: treat
@@ -434,9 +434,7 @@ def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100
         d = np.asarray(frame_or_d, dtype=np.float64)
         if p is None:
             raise ConfigError("p is required when passing a raw assignment")
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim == 1:
-        X = X[:, None]
+    X = as_matrix(x, "x")
     n = X.shape[0]
 
     # standardize for conditioning; constant columns pass through untouched
@@ -544,9 +542,7 @@ def calibrate_threshold(region, partition, h, alpha, rng, draws=2000):
 
 def _bind(region, partition, h):
     """Bind a region to balance covariates h (n x d_h, or an n-vector)."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim == 1:
-        h = h[:, None]
+    h = as_matrix(h, "h")
     if h.shape[0] != partition.n:
         raise ConfigError("balance covariates and partition disagree on n")
     return region.bind(h, partition, partition.p)
@@ -702,26 +698,29 @@ def region_from_dict(spec):
     # (gamma_bar, U, p, eps) parameterization once serialized
     generic = shape in _POLAR_SHAPES and "gamma_bar" in spec
     required, optional = _REGION_KEYS["polar" if generic else shape]
-    check_keys(spec, {"shape", *required, *optional}, f"region {shape!r}", required)
+    what = f"region {shape!r}"
+    check_keys(spec, {"shape", *required, *optional}, what, required)
+    num = partial(spec_number, spec, what=what)
     if shape == "none":
         return FullSpaceRegion()
     if shape in ("mahalanobis", "ellipsoid-mahalanobis"):
-        return MahalanobisRegion(alpha=spec.get("alpha"), eps2=spec.get("eps2"))
+        return MahalanobisRegion(**{key: num(key) for key in ("alpha", "eps2")
+                                    if spec.get(key) is not None})
     if generic:
         return PolarRegion(
             gamma_bar=np.asarray(spec["gamma_bar"], dtype=np.float64),
             U=np.asarray(spec["U"], dtype=np.float64),
-            p_exponent=np.inf if spec.get("p") is None else float(spec["p"]),
-            eps=float(spec["eps"]),
+            p_exponent=np.inf if spec.get("p") is None else num("p"),
+            eps=num("eps"),
             shape=shape,
         )
     if shape == "ball":
-        return PolarRegion.ball(dim=int(spec["dim"]), eps=float(spec["eps"]))
+        return PolarRegion.ball(dim=num("dim", kind=int), eps=num("eps"))
     if shape == "rectangle-polar":
-        return PolarRegion.rectangle(spec["a"], spec["b"], eps=float(spec["eps"]))
+        return PolarRegion.rectangle(spec["a"], spec["b"], eps=num("eps"))
     if shape == "pilot-wald":
         return pilot_wald_region(
-            spec["gamma_pilot"], spec["sigma_pilot"], m=int(spec["m"]),
-            alpha=float(spec["alpha"]), eps=float(spec["eps"]),
+            spec["gamma_pilot"], spec["sigma_pilot"], m=num("m", kind=int),
+            alpha=num("alpha"), eps=num("eps"),
         )
-    return PropensityRegion(eps2=float(spec["eps2"]), link=spec.get("link", "logit"))
+    return PropensityRegion(eps2=num("eps2"), link=spec.get("link", "logit"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -394,62 +395,45 @@ class MonteCarloResult:
         raise KeyError((design, estimator))
 
     def to_csv(self, path_or_fh):
-        fh = open(path_or_fh, "w", newline="", encoding="utf-8") \
-            if isinstance(path_or_fh, str) else path_or_fh
-        try:
+        with (nullcontext(path_or_fh) if hasattr(path_or_fh, "write")
+              else open(path_or_fh, "w", newline="", encoding="utf-8")) as fh:
             writer = csv.writer(fh)
             writer.writerow(self.CSV_COLUMNS)
-            for r in self.rows:
-                writer.writerow([r[c] for c in self.CSV_COLUMNS])
-        finally:
-            if isinstance(path_or_fh, str):
-                fh.close()
+            writer.writerows([r[c] for c in self.CSV_COLUMNS] for r in self.rows)
+
+
+# the columns of a replicate's record, which holds one row per design
+_FIELDS = ("unadjusted", "adjusted", "target_fin", "target_pop", "cover_fin", "cover_pop",
+           "width_fin", "width_pop", "draws", "exhausted")
 
 
 def _one_replicate(dgp, designs, estimand, x_cols, contrast, ci_alpha, seed, theta0, rep):
     data = generate_dgp(dgp, RngSpec(seed).substream(1, rep, 0))
-    n = dgp.n
     x = None
     if estimand in ("cate", "clate") or x_cols:
-        x = np.column_stack([np.ones(n), data.r[:, list(x_cols or ())]])
+        x = np.column_stack([np.ones(dgp.n), data.r[:, list(x_cols or ())]])
     theta_n = finite_pop_estimand(data, estimand, dgp.p, x=x)
     spec = estimand_by_name(estimand)
     c_vec = np.asarray(contrast, dtype=np.float64)
-    out = {}
+    target_n = float(c_vec @ theta_n)
+    target_0 = float(c_vec @ theta0)
+    record = np.empty((len(designs), len(_FIELDS)))
     for j, design in enumerate(designs):
         gen = RngSpec(seed).substream(1, rep, 1 + j)
         partition, draw = assign_design(design, data.r, dgp.p, gen)
-        d = draw.d
-        if data.d1 is not None:
-            d_endog = np.where(d == 1, data.d1, data.d0)
-            y = np.where(d_endog == 1, data.y1, data.y0)
-        else:
-            d_endog = None
-            y = np.where(d == 1, data.y1, data.y0)
-        table = data.covariate_table(
-            psi_cols=design.psi_cols, h_cols=design.h_cols, w_cols=design.w_cols, x=x,
-        )
-        frame = ExperimentFrame(covariates=table, d=d, p=dgp.p, y=y, d_endog=d_endog)
+        d_endog = None if data.d1 is None else np.where(draw.d == 1, data.d1, data.d0)
+        y = np.where((draw.d if d_endog is None else d_endog) == 1, data.y1, data.y0)
+        table = data.covariate_table(psi_cols=design.psi_cols, h_cols=design.h_cols,
+                                     w_cols=design.w_cols, x=x)
+        frame = ExperimentFrame(covariates=table, d=draw.d, p=dgp.p, y=y, d_endog=d_endog)
         fit, adj = two_step_adjust(frame, partition, spec, w=table.w)
         comp = variance_components(frame, partition, adj, fit, spec=spec)
         report = confidence_intervals(fit, adj, comp, contrasts=[c_vec], alpha=ci_alpha)
-        target_n = float(c_vec @ theta_n)
-        target_0 = float(c_vec @ theta0)
-        lo_f, hi_f = report.ci_fin[0]
-        lo_p, hi_p = report.ci_pop[0]
-        out[design.name] = {
-            "err_unadj": float(c_vec @ fit.theta) - target_n,
-            "err_adj": float(c_vec @ adj.theta_adj) - target_n,
-            "err0_unadj": float(c_vec @ fit.theta) - target_0,
-            "err0_adj": float(c_vec @ adj.theta_adj) - target_0,
-            "cover_fin": lo_f <= target_n <= hi_f,
-            "cover_pop": lo_p <= target_0 <= hi_p,
-            "width_fin": hi_f - lo_f,
-            "width_pop": hi_p - lo_p,
-            "draws": draw.draw_index,
-            "exhausted": not draw.accepted,
-        }
-    return out
+        (lo_f, hi_f), (lo_p, hi_p) = report.ci_fin[0], report.ci_pop[0]
+        record[j] = (c_vec @ fit.theta, c_vec @ adj.theta_adj, target_n, target_0,
+                     lo_f <= target_n <= hi_f, lo_p <= target_0 <= hi_p,
+                     hi_f - lo_f, hi_p - lo_p, draw.draw_index, not draw.accepted)
+    return record
 
 
 def _worker(common, reps):
@@ -520,8 +504,8 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
         parts = [_worker(common, chunks[0])]
     results = sorted((item for part in parts for item in part), key=lambda t: t[0])
 
-    records = [r for _, r in results if isinstance(r, dict)]
-    failures = [(rep, r) for rep, r in results if not isinstance(r, dict)]
+    records = [r for _, r in results if isinstance(r, np.ndarray)]
+    failures = [(rep, r) for rep, r in results if not isinstance(r, np.ndarray)]
     reasons = {}
     for _, (kind, message) in failures:
         reasons.setdefault(kind, {"count": 0, "first": message})["count"] += 1
@@ -534,53 +518,44 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
             f"{failures[0][0]} ({by_kind})"
         )
 
-    base_design = next((d.name for d in designs if d.kind == "complete"), designs[0].name)
-    base_mse = None
-    base_mse_fin = None
-    rows = []
-    errors = {}
-    for design in designs:
-        recs = [r[design.name] for r in records]
-        eu = np.array([r["err_unadj"] for r in recs])
-        ea = np.array([r["err_adj"] for r in recs])
-        eu0 = np.array([r["err0_unadj"] for r in recs])
-        ea0 = np.array([r["err0_adj"] for r in recs])
-        if keep_errors:
-            errors[design.name] = {"unadjusted": eu, "adjusted": ea}
-        cover_pop = np.mean([r["cover_pop"] for r in recs])
-        cover_fin = np.mean([r["cover_fin"] for r in recs])
-        width_pop = float(np.mean([r["width_pop"] for r in recs]))
-        width_fin = float(np.mean([r["width_fin"] for r in recs]))
-        mean_draws = float(np.mean([r["draws"] for r in recs]))
-        for est_name, err, err0 in (("unadjusted", eu, eu0), ("adjusted", ea, ea0)):
-            # headline metric: squared error about the superpopulation target
-            # (the estimator's dispersion), which is what published design
-            # comparisons normalize; the finite population target's MSE rides
-            # along as mse_fin
-            mse_fin = float(np.mean(err ** 2))
-            mse = float(np.mean(err0 ** 2))
-            if design.name == base_design and est_name == "unadjusted":
-                base_mse = mse
-                base_mse_fin = mse_fin
+    # (design, field, replicate): the mean of one contiguous column sums pairwise;
+    # a mean along axis 0 of the stack would sum in another order (other last bits)
+    columns = np.ascontiguousarray(np.array(records).transpose(1, 2, 0))
+    rows, errors = [], {}
+    for design, fields in zip(designs, columns):
+        col = dict(zip(_FIELDS, fields))
+        shared = {
+            "cover_pop": round(float(np.mean(col["cover_pop"])), 6),
+            "cover_fin": round(float(np.mean(col["cover_fin"])), 6),
+            "width_pop": round(float(np.mean(col["width_pop"])), 9),
+            "width_fin": round(float(np.mean(col["width_fin"])), 9),
+            "mean_draws": round(float(np.mean(col["draws"])), 3),
+            "exhausted": int(col["exhausted"].sum()),
+        }
+        for est_name in ("unadjusted", "adjusted"):
+            # headline mse is about the superpopulation target (the estimator's
+            # dispersion), as published design comparisons normalize it
+            err = col[est_name] - col["target_fin"]
+            err0 = col[est_name] - col["target_pop"]
+            if keep_errors:
+                errors.setdefault(design.name, {})[est_name] = err
             rows.append({
                 "model": dgp.model, "dim": dgp.dim_r, "n": dgp.n,
                 "design": design.name, "estimator": est_name,
-                "mse": mse,
+                "mse": float(np.mean(err0 ** 2)),
                 "mse_se": float(np.std(err0 ** 2) / math.sqrt(len(err0))),
-                "mse_fin": mse_fin,
+                "mse_fin": float(np.mean(err ** 2)),
                 "mse_fin_se": float(np.std(err ** 2) / math.sqrt(len(err))),
                 "mse_ratio": None,
                 "mse_fin_ratio": None,
-                "cover_pop": round(float(cover_pop), 6),
-                "cover_fin": round(float(cover_fin), 6),
-                "width_pop": round(width_pop, 9),
-                "width_fin": round(width_fin, 9),
-                "mean_draws": round(mean_draws, 3),
-                "exhausted": int(sum(r["exhausted"] for r in recs)),
+                **shared,
             })
+    # the unadjusted row of the complete design (else the first) is the unit
+    base_name = next((d.name for d in designs if d.kind == "complete"), designs[0].name)
+    base = next(r for r in rows if r["design"] == base_name)
     for row in rows:
-        row["mse_ratio"] = round(row["mse"] / base_mse, 6)
-        row["mse_fin_ratio"] = round(row["mse_fin"] / base_mse_fin, 6)
+        row["mse_ratio"] = round(row["mse"] / base["mse"], 6)
+        row["mse_fin_ratio"] = round(row["mse_fin"] / base["mse_fin"], 6)
     return MonteCarloResult(
         rows=rows, replicates=replicates, failures=len(failures), seed=seed,
         workers=workers,

@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import ConfigError, GroupPartition, as_generator
+from .core import ConfigError, GroupPartition, as_generator, as_matrix
 
 _METHODS = ("greedy-nn", "sorted-1d", "random-within-cell")
 
@@ -226,9 +226,7 @@ def match_k_tuples(psi, cfg, rng=None):
     distinct psi row as a discrete cell and groups uniformly at random
     within it. The partition depends only on psi and the supplied rng.
     """
-    psi = np.asarray(psi, dtype=np.float64)
-    if psi.ndim == 1:
-        psi = psi[:, None]
+    psi = as_matrix(psi, "psi")
     n, d = psi.shape
     if n % cfg.k != 0:
         raise ConfigError(f"n={n} is not divisible by group size k={cfg.k}")
@@ -279,9 +277,7 @@ def pair_groups_by_centroid(partition, psi):
     """Match groups into pairs on their psi centroids (greedy nearest
     neighbor), recording the involution and its pairing statistic
     (1/n) sum_s |centroid_s - centroid_pair(s)|^2."""
-    psi = np.asarray(psi, dtype=np.float64)
-    if psi.ndim == 1:
-        psi = psi[:, None]
+    psi = as_matrix(psi, "psi")
     G = partition.n_groups
     if G % 2 != 0:
         raise ConfigError(f"cannot pair an odd number of groups ({G})")
@@ -302,9 +298,7 @@ def design_partition(psi, cfg, rng=None):
     with a single treated or a single control unit need collapsed strata for
     their variance bounds, so they are also paired on their centroids; an
     odd group count is refused before any matching or draw."""
-    psi = np.asarray(psi, dtype=np.float64)
-    if psi.ndim == 1:
-        psi = psi[:, None]
+    psi = as_matrix(psi, "psi")
     n, k, l = psi.shape[0], cfg.k, cfg.l
     if psi.shape[1] == 0:
         if n % k != 0:

@@ -220,6 +220,43 @@ def test_design_spec_integers_are_not_truncated(workspace, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, key, value, message", [
+    ("simulate", "p", "x", "simulation spec: p must be a number, got 'x'"),
+    ("simulate", "p", None, "simulation spec: p must be a number, got None"),
+    ("simulate", "accept_alpha", "x", "simulation spec: accept_alpha must be a number, got 'x'"),
+    ("simulate", "accept_alpha", None, "simulation spec: accept_alpha must be a number, got None"),
+    ("simulate", "ci_alpha", "x", "simulation spec: ci_alpha must be a number, got 'x'"),
+    ("simulate", "ci_alpha", None, "simulation spec: ci_alpha must be a number, got None"),
+    ("simulate", "designs", "CS", "designs must be a list of design names, got 'CS'"),
+    ("assign", "roles", ["a"], "roles must map column names to roles, got ['a']"),
+    ("assign", "alpha", "x", "design spec: alpha must be a number, got 'x'"),
+    ("assign", "alpha", None, "design spec: alpha must be a number, got None"),
+    ("assign", "alpha", 2.0, "design spec: alpha must lie in (0, 1), got 2.0"),
+    ("assign", "region", {"shape": "mahalanobis", "eps2": "x"},
+     "region 'mahalanobis': eps2 must be a number, got 'x'"),
+    ("assign", "region", {"shape": "mahalanobis", "alpha": "x"},
+     "region 'mahalanobis': alpha must be a number, got 'x'"),
+    ("assign", "region", {"shape": "ball", "dim": "x", "eps": 1.0},
+     "region 'ball': dim must be an integer, got 'x'"),
+])
+def test_wrong_typed_spec_values_exit_2(workspace, capsys, command, key, value, message):
+    # each of these was a traceback (exit 1), or, for "designs": "CS", a run
+    # of designs C and S; a design alpha of 2.0 failed only in estimate
+    tmp_path, cov, spec_path, _ = workspace
+    out = tmp_path / "out.csv"
+    if command == "simulate":
+        spec = {"model": 2, "dim_r": 3, "n": 60, "replicates": 100}
+        argv = ["simulate", "--spec", str(spec_path), "--out", str(out)]
+    else:
+        spec = json.loads(spec_path.read_text())
+        argv = ["assign", "--spec", str(spec_path), "--data", str(cov), "--out", str(out)]
+    spec[key] = value
+    spec_path.write_text(json.dumps(spec))
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_writes_threshold(workspace, capsys):
     tmp_path, cov, spec_path, _ = workspace
     spec = json.loads(spec_path.read_text())

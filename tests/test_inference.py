@@ -294,10 +294,10 @@ def test_ci_alpha_validation_and_report_shape():
     from finestrat.adjust import AdjustmentFit
 
     fit = GmmFit(theta=np.array([1.0]), Pi=np.eye(1), G=-np.eye(1),
-                 scores=np.zeros((10, 1)), converged=True, iterations=1)
+                 scores=np.zeros((10, 1)), iterations=1)
     adj = AdjustmentFit(alpha=np.zeros((0, 1)), beta1=np.zeros((0, 1)),
                         beta0=np.zeros((0, 1)), theta_adj=np.array([1.0]),
-                        gram=np.zeros((0, 0)), cond=1.0, w=np.zeros((10, 0)))
+                        cond=1.0, w=np.zeros((10, 0)))
     with pytest.raises(ConfigError):
         confidence_intervals(fit, adj, comp, alpha=1.5)
     rep = confidence_intervals(fit, adj, comp, alpha=0.05)

@@ -190,6 +190,22 @@ def test_run_monte_carlo_smoke_and_reproducible():
     assert sr["mean_draws"] > 1.0
 
 
+def test_to_csv_writes_the_same_bytes_to_a_path_and_a_handle(tmp_path):
+    # a pathlib.Path used to be taken for a handle: "argument 1 must have a
+    # 'write' method"
+    from finestrat.simulate import MonteCarloResult
+
+    rows = [{c: i + j / 3.0 for j, c in enumerate(MonteCarloResult.CSV_COLUMNS)}
+            for i in range(3)]
+    res = MonteCarloResult(rows=rows, replicates=100, failures=0, seed=1, workers=1)
+    buf = io.StringIO(newline="")
+    res.to_csv(buf)
+    res.to_csv(tmp_path / "path.csv")
+    res.to_csv(str(tmp_path / "str.csv"))
+    assert (tmp_path / "path.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    assert (tmp_path / "str.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+
 @pytest.mark.parametrize("threads", [2, 3])  # 3 workers get uneven chunks
 def test_run_monte_carlo_threads_match_serial(threads):
     dgp = DgpSpec(model=1, dim_r=2, n=40)
