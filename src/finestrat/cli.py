@@ -8,14 +8,23 @@ against covariates whose hash has changed.
 
 from __future__ import annotations
 
-import argparse
-import csv
-import hashlib
-import json
 import os
-import sys
 
-import numpy as np
+# BLAS libraries read their thread count once, as they load, so this runs
+# before NumPy (and SciPy's own OpenBLAS) loads. One thread per process: idle
+# BLAS workers spin on the other cores and save no time, the results would
+# depend on the host's core count, and `simulate --threads` processes are the
+# parallelism. A value set by the user wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse  # noqa: E402 - the thread count must be set first
+import csv  # noqa: E402
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 from . import __version__
 from .adjust import two_step_adjust
@@ -67,12 +76,12 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _design_alpha(spec, what):
-    """The interval level of a design spec, refused outside (0, 1)."""
-    alpha = spec_number(spec, "alpha", what, 0.05)
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"{what}: alpha must lie in (0, 1), got {alpha!r}")
-    return alpha
+def _unit_interval(spec, key, what, default):
+    """A spec number (a level or a share), refused outside (0, 1)."""
+    value = spec_number(spec, key, what, default)
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{what}: {key} must lie in (0, 1), got {value!r}")
+    return value
 
 
 def _read_design(args):
@@ -84,7 +93,7 @@ def _read_design(args):
     check_keys(match, _MATCH_KEYS, "match block")
     seed = args.seed if args.seed is not None else spec_number(spec, "seed", "design spec", 0, int)
     k, l = (spec_number(spec, key, "design spec", kind=int) for key in ("k", "l"))
-    _design_alpha(spec, "design spec")  # refused here, not after the experiment
+    _unit_interval(spec, "alpha", "design spec", 0.05)  # refused here, not after the experiment
     table = load_covariates(args.data, spec["roles"])
     cfg = MatchConfig(
         k=k, l=l, psi_weights=match.get("weights"),
@@ -180,7 +189,7 @@ def cmd_estimate(args):
     fit, adj = two_step_adjust(frame, partition, est_spec, w=table.w,
                                w_names=table.w_names)
     comp = variance_components(frame, partition, adj, fit, spec=est_spec)
-    alpha = _design_alpha(spec, "manifest spec")
+    alpha = _unit_interval(spec, "alpha", "manifest spec", 0.05)
     report = confidence_intervals(
         fit, adj, comp,
         flags={"estimand": estimand, "collapsed_strata": comp.used_collapsed,
@@ -217,20 +226,31 @@ def cmd_simulate(args):
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
     model, dim_r, n = (spec_number(spec, key, what, kind=int) for key in ("model", "dim_r", "n"))
-    dgp = DgpSpec(model=model, dim_r=dim_r, n=n, p=spec_number(spec, "p", what, 0.5))
+    p = _unit_interval(spec, "p", what, 0.5)
+    ci_alpha = _unit_interval(spec, "ci_alpha", what, 0.05)
+    dgp = DgpSpec(model=model, dim_r=dim_r, n=n, p=p)
     wanted = spec.get("designs", ["C", "S", "SR"])
     if not (isinstance(wanted, list) and wanted and all(isinstance(w, str) for w in wanted)):
         raise ConfigError(f"{what}: designs must be a list of design names, got {wanted!r}")
-    available = {d.name: d for d in benchmark_designs(
-        dgp.model, dgp.dim_r, accept_alpha=spec_number(spec, "accept_alpha", what, 1.0 / 500.0))}
+    accept_alpha = _unit_interval(spec, "accept_alpha", what, 1.0 / 500.0)
+    available = {d.name: d for d in benchmark_designs(dgp.model, dgp.dim_r, accept_alpha)}
     unknown = [w for w in wanted if w not in available]
     if unknown:
         raise ConfigError(f"unknown designs {unknown}; available: {sorted(available)}")
     designs = [available[w] for w in wanted]
+    # refused here, not after run_monte_carlo has drawn its 10^6-unit oracle
+    for design in designs:
+        if design.kind == "complete":
+            if abs(n * p - round(n * p)) > 1e-9:
+                raise ConfigError(f"{what}: p = {p!r} does not fit design {design.name!r}: "
+                                  f"n*p = {n * p!r} units is not a whole number")
+        elif p != design.l / design.k:
+            raise ConfigError(f"{what}: p = {p!r} does not fit design {design.name!r}, "
+                              f"which treats {design.l} of every {design.k} units")
     result = run_monte_carlo(
         designs, dgp, replicates, seed,
         estimand=spec.get("estimand", "sate"),
-        ci_alpha=spec_number(spec, "ci_alpha", what, 0.05),
+        ci_alpha=ci_alpha,
         threads=threads,
     )
     result.to_csv(args.out)

@@ -257,6 +257,27 @@ def test_wrong_typed_spec_values_exit_2(workspace, capsys, command, key, value, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("edit, message", [
+    ({"p": 0.3}, "simulation spec: p = 0.3 does not fit design 'S', which treats 1 of every 2"),
+    ({"p": 0.31, "designs": ["C"]}, "simulation spec: p = 0.31 does not fit design 'C': n*p"),
+    ({"p": 1.5}, "simulation spec: p must lie in (0, 1), got 1.5"),
+    ({"ci_alpha": 1.5}, "simulation spec: ci_alpha must lie in (0, 1), got 1.5"),
+    ({"accept_alpha": 0.0}, "simulation spec: accept_alpha must lie in (0, 1), got 0.0"),
+], ids=["p-pairs", "p-complete", "p-range", "ci_alpha", "accept_alpha"])
+def test_simulation_spec_shares_and_levels_are_checked_before_the_oracle(
+        tmp_path, capsys, monkeypatch, edit, message):
+    # p and ci_alpha failed only after the 10^6-unit oracle; no message named the key
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran before the spec was checked")
+
+    monkeypatch.setattr("finestrat.simulate._oracle_sample", no_oracle)
+    (tmp_path / "sim.json").write_text(json.dumps(
+        {"model": 2, "dim_r": 3, "n": 60, "replicates": 100, **edit}))
+    assert main(["simulate", "--spec", str(tmp_path / "sim.json"),
+                 "--out", str(tmp_path / "r.csv")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_calibrate_writes_threshold(workspace, capsys):
     tmp_path, cov, spec_path, _ = workspace
     spec = json.loads(spec_path.read_text())
@@ -626,18 +647,35 @@ def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, mes
     assert message in capsys.readouterr().err
 
 
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cli_env(**overrides):
+    """The environment of a fresh interpreter on this checkout's source.
+    The BLAS thread variables are removed unless ``overrides`` sets them, so
+    the child sees the default even when this shell (or an imported
+    ``finestrat.cli``) has set them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key not in _BLAS_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env.update(overrides)
+    return env
+
+
+def _python(code, env, cwd=None):
+    """What ``code`` prints in a fresh interpreter with environment ``env``."""
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
 def _scipy_after(tmp_path, code, roots=("scipy",)):
     """Run code in a fresh interpreter on this checkout's source, and return
     what it prints and the modules under ``roots`` (packages or modules,
     scipy by default) loaded by its end."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     prefixes = tuple(root + "." for root in roots)
     code += ("\nimport json, sys\n"
              f"print(json.dumps(sorted(m for m in sys.modules if (m + '.').startswith({prefixes!r}))))")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True, cwd=tmp_path)
-    *lines, modules = out.stdout.strip().splitlines()
+    *lines, modules = _python(code, _cli_env(), cwd=tmp_path).splitlines()
     return lines, json.loads(modules)
 
 
@@ -706,10 +744,93 @@ def test_cli_import_loads_neither_scipy_stats_nor_linalg():
     # scipy.stats and scipy.linalg take most of a command's start-up; the
     # quantiles come from scipy.special and scipy.linalg loads on an error
     # path. scipy.spatial, for the k-d tree, loads only when matching runs
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = ("import sys, finestrat.cli; print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.stats', 'scipy.linalg', 'scipy.spatial'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _python(code, _cli_env()) == "[]"
+
+
+def test_package_import_loads_nothing_and_leaves_the_environment_alone():
+    # the names load lazily, so finestrat.cli can run before NumPy loads
+    code = ("import json, os, sys\n"
+            "before = dict(os.environ)\n"
+            "import finestrat\n"
+            "print(json.dumps(['numpy' in sys.modules, dict(os.environ) == before]))")
+    assert json.loads(_python(code, _cli_env())) == [False, True]
+
+
+def test_cli_import_sets_only_the_unset_blas_variables():
+    code = ("import json, os, finestrat.cli\n"
+            f"print(json.dumps([os.environ.get(v) for v in {_BLAS_VARS!r}]))")
+    assert json.loads(_python(code, _cli_env())) == ["1", "1", "1"]
+    assert json.loads(_python(code, _cli_env(OPENBLAS_NUM_THREADS="3"))) == ["3", "1", "1"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs Linux /proc")
+def test_cli_process_runs_one_thread_after_loading_numpy_and_scipy():
+    # NumPy and SciPy each bundle an OpenBLAS; by default each starts a
+    # worker per extra core, which spins idle on that core
+    code = "import os, finestrat.cli, scipy.special; print(len(os.listdir('/proc/self/task')))"
+    assert _python(code, _cli_env()) == "1"
+
+
+def test_every_public_name_is_its_submodules_object():
+    # in a fresh interpreter, so each name first resolves with nothing loaded;
+    # then again once finestrat.cli has imported every submodule, which binds
+    # the submodule rerandomize to the package under its function's name
+    code = ("import importlib, json, finestrat\n"
+            "def bad():\n"
+            "    return [n for n in finestrat.__all__ if getattr(finestrat, n) is not\n"
+            "            getattr(importlib.import_module(getattr(finestrat, n).__module__), n)]\n"
+            "cold = bad()\n"
+            "import finestrat.cli\n"
+            "ns = {}\n"
+            "exec('from finestrat import *', ns)\n"
+            "print(json.dumps([len(finestrat.__all__), cold, bad(),\n"
+            "                  sorted(set(finestrat.__all__) - set(ns)),\n"
+            "                  sorted(set(finestrat.__all__) - set(dir(finestrat)))]))")
+    assert json.loads(_python(code, _cli_env())) == [67, [], [], [], []]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """calibrate's region and estimate's report are the same bytes with the
+    BLAS thread variables unset and set to 1. At a parent that left the
+    thread count to OpenBLAS, this fails only on a host with >= 2 CPUs: with
+    one CPU both runs use one thread."""
+    gen = np.random.default_rng(5)
+    n_cal, n_est = 1000, 12000
+    psi = gen.standard_normal(n_cal)
+    h = 0.5 * psi[:, None] + gen.standard_normal((n_cal, 5))
+    names = [f"h{j}" for j in range(5)]
+    np.savetxt(tmp_path / "cal.csv", np.column_stack([psi, h]), delimiter=",",
+               header=",".join(["psi"] + names), comments="")
+    a = gen.uniform(-1.0, 1.0, 5)
+    (tmp_path / "cal.json").write_text(json.dumps({
+        "roles": {"psi": "psi", **{c: "h" for c in names}}, "k": 2, "l": 1,
+        "match": {"method": "sorted-1d"},
+        "region": {"shape": "rectangle-polar", "a": a.tolist(),
+                   "b": (a + gen.uniform(0.2, 2.0, 5)).tolist(), "eps": 1.0}}))
+    psi = gen.standard_normal(n_est)
+    h = 0.6 * psi[:, None] + 0.8 * gen.standard_normal((n_est, 5))
+    y0 = psi + np.sin(h[:, 0]) + h @ np.linspace(0.5, -0.5, 5) + gen.standard_normal(n_est)
+    np.savetxt(tmp_path / "cov.csv", np.column_stack([np.arange(n_est), psi, h]),
+               delimiter=",", header=",".join(["id", "psi"] + names), comments="", fmt="%.17g")
+    (tmp_path / "design.json").write_text(json.dumps({
+        "roles": {"id": "id", "psi": "psi", **{c: ["h", "w"] for c in names}}, "k": 2, "l": 1,
+        "match": {"method": "sorted-1d"}, "region": {"shape": "mahalanobis", "alpha": 0.02}}))
+
+    def cli(*argv, **env):
+        subprocess.run([sys.executable, "-m", "finestrat.cli", *argv], env=_cli_env(**env),
+                       cwd=tmp_path, capture_output=True, check=True)
+
+    cli("assign", "--spec", "design.json", "--data", "cov.csv", "--out", "assign.csv")
+    d = np.array(json.loads((tmp_path / "assign.csv.manifest.json").read_text())["d"])
+    np.savetxt(tmp_path / "y.csv", np.column_stack([np.arange(n_est), y0 + 1.3 * d]),
+               delimiter=",", header="id,y", comments="", fmt="%.17g")
+    outputs = []
+    for env in ({}, dict.fromkeys(_BLAS_VARS, "1")):
+        cli("calibrate", "--spec", "cal.json", "--data", "cal.csv", "--out", "region.json",
+            "--alpha", "0.01", "--draws", "512", **env)
+        cli("estimate", "--manifest", "assign.csv.manifest.json", "--data", "cov.csv",
+            "--outcomes", "y.csv", "--out", "report.json", **env)
+        outputs.append([(tmp_path / f).read_bytes() for f in ("region.json", "report.json")])
+    assert outputs[0] == outputs[1]
