@@ -15,7 +15,7 @@ _EXPORTS = {
     "core": ("ConfigError", "CovariateTable", "EstimationError", "ExperimentFrame",
              "FinestratError", "GroupPartition", "LoadError", "RngSpec",
              "SingularityError", "horvitz_thompson_weights", "load_covariates",
-             "write_covariates"),
+             "within_tuple_demean", "write_covariates"),
     "stratify": ("MatchConfig", "coarse_strata", "design_partition", "match_k_tuples",
                  "pair_groups_by_centroid"),
     "randomize": ("AssignmentDraw", "draw_complete", "draw_stratified"),
@@ -23,7 +23,7 @@ _EXPORTS = {
                     "PolarRegion", "PropensityRegion", "calibrate_threshold",
                     "chi2_threshold", "gmm_imbalance", "mahalanobis_stat",
                     "pilot_wald_region", "polar_penalty", "propensity_stat",
-                    "region_from_dict", "rerandomize", "within_tuple_demean"),
+                    "region_from_dict", "rerandomize"),
     "gmm": ("EstimandSpec", "GmmFit", "assignment_component", "estimand_by_name",
             "score_cate_blp", "score_clate", "score_late", "score_sate", "solve_gmm"),
     "adjust": ("AdjustmentFit", "double_robustness_decomposition", "fit_adjustment",

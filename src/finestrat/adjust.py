@@ -20,9 +20,9 @@ from .core import (
     cov_n,
     horvitz_thompson_weights,
     rank_checked_cholesky,
+    within_tuple_demean,
 )
 from .gmm import solve_gmm
-from .rerandomize import within_tuple_demean
 
 
 @dataclass(frozen=True)

@@ -379,6 +379,19 @@ class GroupPartition:
         )
 
 
+def within_tuple_demean(v, partition):
+    """Subtract each unit's group mean; group sums of the output vanish."""
+    v = np.asarray(v, dtype=np.float64)
+    squeeze = v.ndim == 1
+    if squeeze:
+        v = v[:, None]
+    out = np.empty_like(v)
+    groups = partition.groups
+    vg = v[groups]
+    out[groups.ravel()] = (vg - vg.mean(axis=1, keepdims=True)).reshape(-1, v.shape[1])
+    return out[:, 0] if squeeze else out
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Deterministic randomness contract: identical (seed, stream) reproduce

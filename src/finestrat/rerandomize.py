@@ -2,7 +2,7 @@
 
 Every region is a penalty compared with a threshold: a draw is accepted when
 its penalty is at most the threshold. Binding a region to data gives a
-``Bound(penalty, threshold, stats)``:
+``Bound(penalty, limit, stats)``, whose ``accepts`` makes that comparison:
 
 * ``stats`` is the n x m matrix the balance statistic
   T = sqrt(n) * (mean_1(stats) - mean_0(stats)) is built from (``h`` itself,
@@ -26,8 +26,10 @@ each method a region lacks.
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -43,6 +45,7 @@ from .core import (
     psd_root,
     rank_checked_cholesky,
     spec_number,
+    within_tuple_demean,
 )
 from .gmm import fd_jacobian, newton_root
 from .randomize import (
@@ -58,19 +61,6 @@ class ImbalanceStat:
     value: np.ndarray | float
     raw: np.ndarray | None = None
     extra: dict | None = None
-
-
-def within_tuple_demean(v, partition):
-    """Subtract each unit's group mean; group sums of the output vanish."""
-    v = np.asarray(v, dtype=np.float64)
-    squeeze = v.ndim == 1
-    if squeeze:
-        v = v[:, None]
-    out = np.empty_like(v)
-    groups = partition.groups
-    vg = v[groups]
-    out[groups.ravel()] = (vg - vg.mean(axis=1, keepdims=True)).reshape(-1, v.shape[1])
-    return out[:, 0] if squeeze else out
 
 
 def _finite_sample_sigma(x, partition, p):
@@ -92,22 +82,92 @@ def mahalanobis_stat(frame, partition, x=None):
     return ImbalanceStat(kind="mahalanobis", value=float(bound.penalty(raw[None])[0]), raw=raw)
 
 
-def chi2_threshold(r, alpha):
-    """Threshold eps^2 such that a chi-square(r) variable lands below it
-    with probability alpha; the expected number of draws is about 1/alpha."""
+def _check_level(alpha):
     if not 0.0 < alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
     if alpha > 1.0 - 1e-6:
         raise ConfigError("alpha too close to 1; threshold would be unbounded")
+
+
+def chi2_threshold(r, alpha):
+    """Threshold eps^2 such that a chi-square(r) variable lands below it
+    with probability alpha; the expected number of draws is about 1/alpha."""
+    _check_level(alpha)
     return _chi2_quantile(alpha, r)
 
 
 def _chi2_quantile(q, df):
-    # the chi-square quantile exactly as SciPy's chi2.ppf computes it; imported
-    # here, as scipy.special adds ~0.25 s to the start-up of every command
+    # the chi-square quantile exactly as SciPy's chi2.ppf computes it. Imported
+    # here: scipy.special adds about 0.2 s to a command that loads it, and an
+    # accept/reject loop needs this only for a penalty inside _chi2_bracket
     from scipy.special import gammaincinv
 
     return float(2.0 * gammaincinv(df / 2.0, q))
+
+
+def _log_gamma_tail(a, x, upper):
+    """log P(a, x) or, with ``upper``, log Q(a, x) = log(1 - P(a, x)): the
+    regularized incomplete gamma ratios for x > 0. P comes from its
+    all-positive power series below x = a + 1, Q from its continued fraction
+    (modified Lentz) from there on, and the other ratio is one minus it
+    (Numerical Recipes, 3rd ed., section 6.2)."""
+    log_front = a * math.log(x) - x - math.lgamma(a)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * 1e-17:
+            n += 1.0
+            term *= x / n
+            total += term
+        log_p = log_front + math.log(total)
+        return math.log1p(-math.exp(log_p)) if upper else log_p
+    b = x + 1.0 - a
+    c, d = math.inf, 1.0 / b
+    h = d
+    i = 0
+    delta = 0.0
+    while abs(delta - 1.0) >= 1e-16:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = d * c
+        h *= delta
+    log_q = log_front + math.log(h)
+    return log_q if upper else math.log1p(-math.exp(log_q))
+
+
+# the bits of +inf; on positive doubles, bit order is numeric order
+_INF_BITS = 0x7FF0000000000000
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@lru_cache(maxsize=64)
+def _chi2_bracket(r, alpha):
+    """(lo, hi) with lo <= chi2_threshold(r, alpha) <= hi, without SciPy.
+
+    x = gammaincinv(r/2, alpha) is bisected on the bit patterns of positive
+    doubles down to two neighbours, comparing log P(r/2, x) with log alpha,
+    or log Q with log(1 - alpha) for alpha > 1/2, so an upper tail loses
+    nothing to cancellation. The doubled ends agree with SciPy's threshold
+    to about 1e-14 relative on the tested grids and are widened by 1e-9."""
+    a = r / 2.0
+    upper = alpha > 0.5
+    target = math.log1p(-alpha) if upper else math.log(alpha)
+
+    lo, hi = 0, _INF_BITS  # P(a, x) < alpha at lo's double, not at hi's
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        tail = _log_gamma_tail(a, _double(mid), upper)
+        if (tail > target) if upper else (tail < target):
+            lo = mid
+        else:
+            hi = mid
+    return 2.0 * _double(lo) * (1.0 - 1e-9), 2.0 * _double(hi) * (1.0 + 1e-9)
 
 
 def _conjugate_exponent(p):
@@ -139,17 +199,48 @@ def polar_penalty(x, gamma_bar, U, p=2.0):
 # acceptance regions
 
 
+class _Chi2Level:
+    """The threshold chi2_threshold(r, alpha) of a quadratic region, held as
+    its pure-Python bracket lo <= threshold <= hi; float() reads the exact
+    value, which loads SciPy."""
+
+    def __init__(self, r, alpha):
+        _check_level(alpha)
+        self.r, self.alpha = r, alpha
+        self.lo, self.hi = _chi2_bracket(r, alpha)
+
+    def __float__(self):
+        return chi2_threshold(self.r, self.alpha)
+
+
 @dataclass(frozen=True)
 class Bound:
     """A region bound to data: accept when penalty <= threshold. With
     ``stats`` (n x m), ``penalty`` scores a (B, m) batch of statistics
     T = sqrt(n)(mean_1(stats) - mean_0(stats)); with ``stats`` None it
     rescores one assignment vector. Bounds from ``fixed`` and
-    ``population`` score statistics and carry no ``stats``."""
+    ``population`` score statistics and carry no ``stats``. ``limit`` is
+    the threshold, or the _Chi2Level of a quadratic region given alpha."""
 
     penalty: Callable
-    threshold: float
+    limit: float | _Chi2Level
     stats: np.ndarray | None = None
+
+    @property
+    def threshold(self):
+        return float(self.limit)
+
+    def accepts(self, pens):
+        """pens <= threshold, elementwise. A chi-square level decides the
+        penalties outside its bracket alone, so the exact threshold (and
+        SciPy) is read only for a penalty inside it."""
+        if not isinstance(self.limit, _Chi2Level):
+            return pens <= self.limit
+        ok = pens <= self.limit.lo
+        band = ~ok & (pens <= self.limit.hi)
+        if band.any():
+            ok[band] = pens[band] <= self.threshold
+        return ok
 
 
 class AcceptanceRegion:
@@ -205,12 +296,12 @@ class MahalanobisRegion(AcceptanceRegion):
         if self.alpha is None and self.eps2 is None:
             raise ConfigError("supply alpha or eps2 for the quadratic region")
 
-    def _threshold(self, r):
+    def _limit(self, r):
         if self.eps2 is not None:
             if self.eps2 <= 0:
                 raise ConfigError("eps2 must be positive")
             return float(self.eps2)
-        return chi2_threshold(r, self.alpha)
+        return _Chi2Level(r, self.alpha)
 
     def _bound(self, sigma, stats=None):
         chol = rank_checked_cholesky(sigma)
@@ -224,7 +315,7 @@ class MahalanobisRegion(AcceptanceRegion):
             z = np.linalg.solve(chol, T.T)
             return np.einsum("ib,ib->b", z, z)
 
-        return Bound(penalty, self._threshold(sigma.shape[0]), stats)
+        return Bound(penalty, self._limit(sigma.shape[0]), stats)
 
     def fixed(self, dim):
         raise ConfigError(
@@ -405,7 +496,7 @@ class GmmRegion(AcceptanceRegion):
                 return np.inf
             return float(base.penalty(gap[None])[0])
 
-        return Bound(penalty, base.threshold)
+        return Bound(penalty, base.limit)
 
     def with_threshold(self, threshold):
         return replace(self, base=self.base.with_threshold(threshold))
@@ -652,7 +743,7 @@ def rerandomize(partition, h, region, rng, max_draws=100_000):
             if accepted:
                 continue  # drawn unscored, so the stream ends where the whole batch does
             pens = score(slots)
-            hits = np.flatnonzero(pens <= bound.threshold)
+            hits = np.flatnonzero(bound.accepts(pens))
             accepted = hits.size > 0
             b = int(hits[0]) if accepted else int(np.argmin(pens))
             if accepted or pens[b] < best[0]:

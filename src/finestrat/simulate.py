@@ -357,7 +357,7 @@ def oracle_limit_sampler(v_theta, gamma0, var_zh, region, draws, rng,
     while got < draws:
         z = gen.standard_normal((batch, d_h)) @ root_z.T
         pens = np.asarray(bound.penalty(z))
-        keep = z[pens <= bound.threshold]
+        keep = z[bound.accepts(pens)]
         accepted.append(keep)
         got += keep.shape[0]
         proposed += batch
@@ -492,12 +492,11 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     chunks = [range(i, replicates, workers) for i in range(workers)]
     if workers > 1:
         # forked workers share this process's imports: load the matcher's
-        # k-d tree module and the chi-square threshold's scipy.special once
-        # here, not once in every worker. The pool itself loads only here
+        # k-d tree module (and the scipy.special it imports) once here, not
+        # once in every worker. The pool itself loads only here
         from concurrent.futures import ProcessPoolExecutor
 
         import scipy.spatial  # noqa: F401
-        import scipy.special  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_worker, [common] * workers, chunks))
     else:

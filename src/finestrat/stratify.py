@@ -64,8 +64,8 @@ class _TreeSource:
         self.rebuild()
 
     def rebuild(self):
-        # imported here: scipy.spatial adds 0.3-0.4 s to a command's start-up
-        # (about 0.1 s when scipy.special is already loaded)
+        # imported here: scipy.spatial, which loads scipy.special, adds about
+        # 0.3 s to a command's start-up
         from scipy.spatial import cKDTree
 
         self.where = np.flatnonzero(self.alive)

@@ -717,9 +717,10 @@ def test_sorted_1d_calibrate_of_a_fixed_region_loads_no_scipy(workspace):
 
 
 def test_mahalanobis_assign_keeps_its_threshold_and_assignment(workspace):
-    # scipy.special loads when the chi-square quantile is first needed; the
-    # threshold must still be chi2.ppf(alpha, d_h), and the draw count and d
-    # are those recorded with scipy.special imported at start-up
+    # draws are decided by a pure-Python bracket around the chi-square
+    # quantile, so no penalty here needs SciPy; the decisions must still be
+    # those of chi2.ppf(alpha, d_h), and the draw count and d are those
+    # recorded with scipy.special imported at start-up
     from scipy import stats
 
     tmp_path, cov, spec_path, _ = workspace
@@ -727,7 +728,7 @@ def test_mahalanobis_assign_keeps_its_threshold_and_assignment(workspace):
         "from finestrat.cli import main\n"
         "print(main(['assign', '--spec', 'design.json', '--data', 'cov.csv',"
         " '--out', 'assign.csv', '--trace', 'trace.csv']))"))
-    assert lines[-1] == "0" and "scipy.special" in modules
+    assert lines[-1] == "0" and modules == []
     manifest = json.loads((tmp_path / "assign.csv.manifest.json").read_text())
     d = "".join(map(str, manifest["d"]))
     assert manifest["draws_to_accept"] == 155
@@ -738,6 +739,28 @@ def test_mahalanobis_assign_keeps_its_threshold_and_assignment(workspace):
     threshold = stats.chi2.ppf(0.01, df=2)
     assert [float(r["penalty"]) <= threshold for r in trace] == [r["accepted"] == "True"
                                                                  for r in trace]
+
+
+def test_sorted_1d_mahalanobis_assign_and_estimate_load_only_their_layers(workspace):
+    # assign decides its draws from the chi-square bracket, and estimate
+    # imports neither the matcher nor the simulation engine
+    tmp_path, cov, spec_path, _ = workspace
+    roots = ("scipy", "finestrat.simulate", "finestrat.stratify")
+    lines, modules = _scipy_after(tmp_path, (
+        "from finestrat.cli import main\n"
+        "print(main(['assign', '--spec', 'design.json', '--data', 'cov.csv',"
+        " '--out', 'assign.csv']))"), roots=roots)
+    assert lines[-1] == "0" and modules == ["finestrat.stratify"]
+    with open(tmp_path / "assign.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    (tmp_path / "y.csv").write_text("id,y\n" + "".join(
+        f"{r['id']},{i % 5 + 0.7 * int(r['d'])}\n" for i, r in enumerate(rows)))
+    lines, modules = _scipy_after(tmp_path, (
+        "from finestrat.cli import main\n"
+        "print(main(['estimate', '--manifest', 'assign.csv.manifest.json', '--data', 'cov.csv',"
+        " '--outcomes', 'y.csv', '--out', 'report.json']))"), roots=roots)
+    assert lines[-1] == "0" and modules == []
+    assert np.isfinite(json.loads((tmp_path / "report.json").read_text())["ci_pop"][0]["lo"])
 
 
 def test_cli_import_loads_neither_scipy_stats_nor_linalg():
@@ -775,14 +798,16 @@ def test_cli_process_runs_one_thread_after_loading_numpy_and_scipy():
 
 def test_every_public_name_is_its_submodules_object():
     # in a fresh interpreter, so each name first resolves with nothing loaded;
-    # then again once finestrat.cli has imported every submodule, which binds
-    # the submodule rerandomize to the package under its function's name
+    # then again once every submodule is imported, which binds the submodule
+    # rerandomize to the package under its function's name
     code = ("import importlib, json, finestrat\n"
             "def bad():\n"
             "    return [n for n in finestrat.__all__ if getattr(finestrat, n) is not\n"
             "            getattr(importlib.import_module(getattr(finestrat, n).__module__), n)]\n"
             "cold = bad()\n"
-            "import finestrat.cli\n"
+            "import finestrat.adjust, finestrat.cli, finestrat.core, finestrat.gmm\n"
+            "import finestrat.inference, finestrat.randomize, finestrat.rerandomize\n"
+            "import finestrat.simulate, finestrat.stratify\n"
             "ns = {}\n"
             "exec('from finestrat import *', ns)\n"
             "print(json.dumps([len(finestrat.__all__), cold, bad(),\n"

@@ -1,6 +1,11 @@
 import importlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -195,6 +200,61 @@ def test_chi2_threshold_alpha_guard():
         chi2_threshold(3, 1.0 - 1e-9)
     with pytest.raises(ConfigError):
         chi2_threshold(3, 0.0)
+
+
+def test_chi2_bracket_holds_the_scipy_quantile_within_1e_9():
+    # the quadratic region decides its draws from this pure-Python bracket;
+    # every draw keeps SciPy's decision only if the bracket holds its value
+    from scipy.stats import chi2
+
+    from finestrat.rerandomize import _chi2_bracket
+
+    dense = np.concatenate([np.geomspace(1e-6, 0.5, 30), 1.0 - np.geomspace(1e-6, 0.5, 30)])
+    grids = [(range(1, 201), QUANTILE_GRID), (range(1, 61), dense.tolist())]
+    for dfs, alphas in grids:
+        for df in dfs:
+            for q, t in zip(alphas, chi2.ppf(alphas, df).tolist()):
+                lo, hi = _chi2_bracket(df, q)
+                assert lo <= t <= hi, (df, q)
+                assert (hi - lo) / 2.0 <= 1.000001e-9 * t, (df, q)
+
+
+@pytest.mark.parametrize("r,alpha", [(1, 0.01), (2, 0.01), (3, 1 / 500), (5, 0.5),
+                                     (8, 0.9), (40, 1e-6), (200, 1 - 1e-6)])
+def test_chi2_level_decides_draws_as_the_exact_threshold(r, alpha):
+    from scipy.stats import chi2
+
+    bound = MahalanobisRegion(alpha=alpha).population(np.eye(r))
+    t = float(chi2.ppf(alpha, r))
+    assert bound.threshold == t
+    lo, hi = bound.limit.lo, bound.limit.hi
+    pens = np.array([np.nextafter(t, 0.0), t, np.nextafter(t, np.inf), lo, hi,
+                     np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), 0.0, np.inf, np.nan])
+    np.testing.assert_array_equal(bound.accepts(pens), pens <= t)
+    # the guards still act when the region is bound, with their messages
+    for bad, message in ((0.0, r"alpha must lie in \(0, 1\), got 0.0"),
+                         (1.0 - 1e-9, "alpha too close to 1; threshold would be unbounded")):
+        with pytest.raises(ConfigError, match=message):
+            MahalanobisRegion(alpha=bad).population(np.eye(r))
+
+
+def test_chi2_level_loads_scipy_only_for_a_penalty_in_its_bracket():
+    code = ("import json, sys\n"
+            "import numpy as np\n"
+            "from finestrat import MahalanobisRegion\n"
+            "bound = MahalanobisRegion(alpha=0.01).population(np.eye(2))\n"
+            "lo, hi = bound.limit.lo, bound.limit.hi\n"
+            "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+            "outside = bound.accepts(np.array([0.0, lo, 2 * hi, np.inf])).tolist()\n"
+            "before = loaded()\n"
+            "inside = bound.accepts(np.array([(lo + hi) / 2])).tolist()\n"
+            "print(json.dumps([outside, before, loaded()]))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert json.loads(out) == [[True, True, False, False], False, True]
 
 
 # -- polar penalties ---------------------------------------------------------
