@@ -23,6 +23,7 @@ import csv  # noqa: E402
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+from collections import namedtuple  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -37,7 +38,9 @@ from .core import (
     check_keys,
     load_covariates,
     read_csv,
+    role_columns,
     spec_number,
+    unit_interval,
 )
 
 # Each command imports only its own layers: every command starts a fresh
@@ -74,43 +77,46 @@ def _sha256(path):
     return digest.hexdigest()
 
 
-def _unit_interval(spec, key, what, default):
-    """A spec number (a level or a share), refused outside (0, 1)."""
-    value = spec_number(spec, key, what, default)
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{what}: {key} must lie in (0, 1), got {value!r}")
-    return value
+# a checked spec: the document as read (the manifest keeps it) and every value taken from it
+Design = namedtuple("Design", "spec roles seed estimand alpha max_draws match region")
+Simulation = namedtuple("Simulation", "spec dgp designs estimand replicates seed threads ci_alpha")
 
 
-def _read_design(args):
-    """Spec, seed, covariates, partition and region of a design command.
-    Matching uses stream 0 of the seed; draws use the later streams."""
-    from .rerandomize import region_from_dict
-    from .stratify import MatchConfig, design_partition
+def _read_design(spec, what, seed=None, layers=True):
+    """Check a design spec before any data is read. With ``layers``, build its match config
+    and region; estimate uses neither, and does not load the layers that build them."""
+    from .gmm import estimand_by_name
 
-    spec = _load_json(args.spec, "design spec")
-    check_keys(spec, _DESIGN_KEYS, "design spec", _DESIGN_REQUIRED)
+    check_keys(spec, _DESIGN_KEYS, what, _DESIGN_REQUIRED)
     match = spec.get("match", {})
     check_keys(match, _MATCH_KEYS, "match block")
-    seed = args.seed if args.seed is not None else spec_number(spec, "seed", "design spec", 0, int)
-    k, l = (spec_number(spec, key, "design spec", kind=int) for key in ("k", "l"))
-    _unit_interval(spec, "alpha", "design spec", 0.05)  # refused here, not after the experiment
-    table = load_covariates(args.data, spec["roles"])
-    cfg = MatchConfig(
-        k=k, l=l, psi_weights=match.get("weights"),
-        method=match.get("method", "sorted-1d" if table.d_psi == 1 else "greedy-nn"),
-    )
-    partition = design_partition(table.psi, cfg, RngSpec(seed, 0))
-    region = region_from_dict(spec.get("region"))
-    return spec, seed, table, partition, region
+    roles, _ = role_columns(spec["roles"])
+    k, l = (spec_number(spec, key, what, kind=int) for key in ("k", "l"))
+    seed = spec_number(spec, "seed", what, 0, int, low=0) if seed is None else seed
+    alpha = unit_interval(spec_number(spec, "alpha", what, 0.05), f"{what}: alpha")
+    max_draws = spec_number(spec, "max_draws", what, 10000, int, low=1)
+    estimand = spec.get("estimand", "sate")
+    estimand_by_name(estimand)
+    cfg = region = None
+    if layers:
+        from .rerandomize import region_from_dict
+        from .stratify import MatchConfig
+
+        method = match.get("method", "sorted-1d" if len(roles["psi"]) == 1 else "greedy-nn")
+        cfg = MatchConfig(k=k, l=l, psi_weights=match.get("weights"), method=method)
+        region = region_from_dict(spec.get("region"))
+    return Design(spec, spec["roles"], seed, estimand, alpha, max_draws, cfg, region)
 
 
 def cmd_assign(args):
     from .rerandomize import rerandomize
+    from .stratify import design_partition
 
-    spec, seed, table, partition, region = _read_design(args)
-    max_draws = spec_number(spec, "max_draws", "design spec", 10000, int)
-    draw = rerandomize(partition, table.h, region, RngSpec(seed, 1), max_draws=max_draws)
+    design = _read_design(_load_json(args.spec, "design spec"), "design spec", args.seed)
+    table = load_covariates(args.data, design.roles)
+    partition = design_partition(table.psi, design.match, RngSpec(design.seed, 0))
+    draw = rerandomize(partition, table.h, design.region, RngSpec(design.seed, 1),
+                       max_draws=design.max_draws)
 
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -128,8 +134,8 @@ def cmd_assign(args):
     manifest = {
         "version": __version__,
         "covariates_sha256": _sha256(args.data),
-        "spec": spec,
-        "seed": seed,
+        "spec": design.spec,
+        "seed": design.seed,
         "partition": partition.to_json_dict(),
         "d": draw.d.tolist(),
         "draws_to_accept": draw.draw_index,
@@ -142,11 +148,8 @@ def cmd_assign(args):
         # indent, as groups, pairing and d have n entries
         fh.write(json.dumps(manifest))
     if not draw.accepted:
-        print(
-            f"warning: acceptance region not reached in {max_draws} draws; "
-            f"using best draw (penalty {draw.penalty:.4g})",
-            file=sys.stderr,
-        )
+        print(f"warning: acceptance region not reached in {design.max_draws} draws; "
+              f"using best draw (penalty {draw.penalty:.4g})", file=sys.stderr)
     print(f"wrote {args.out} and {manifest_path} (draws to accept: {draw.draw_index})")
     return 0
 
@@ -170,18 +173,16 @@ def cmd_estimate(args):
 
     manifest = _load_json(args.manifest, "design manifest")
     check_keys(manifest, _MANIFEST_KEYS, "design manifest", _MANIFEST_REQUIRED)
-    check_keys(manifest["spec"], _DESIGN_KEYS, "manifest spec", _DESIGN_REQUIRED)
-    digest = _sha256(args.data)
-    if digest != manifest["covariates_sha256"]:
+    design = _read_design(manifest["spec"], "manifest spec", layers=False)
+    estimand = args.estimand or design.estimand
+    if _sha256(args.data) != manifest["covariates_sha256"]:
         raise ConfigError(
             "covariate file does not match the manifest (hash mismatch); "
             "estimation must run on the exact file used for assignment"
         )
-    spec = manifest["spec"]
-    table = load_covariates(args.data, spec["roles"])
+    table = load_covariates(args.data, design.roles)
     partition = GroupPartition.from_json_dict(manifest["partition"])
     y, d_endog = _read_outcomes(args.outcomes, table.ids)
-    estimand = args.estimand or spec.get("estimand", "sate")
     est_spec = estimand_by_name(estimand)
     if partition.n != table.n:
         raise ConfigError(f"manifest partition covers {partition.n} units, "
@@ -196,13 +197,12 @@ def cmd_estimate(args):
     fit, adj = two_step_adjust(frame, partition, est_spec, w=table.w,
                                w_names=table.w_names)
     comp = variance_components(frame, partition, adj, fit, spec=est_spec)
-    alpha = _unit_interval(spec, "alpha", "manifest spec", 0.05)
     report = confidence_intervals(
         fit, adj, comp,
         flags={"estimand": estimand, "collapsed_strata": comp.used_collapsed,
                "draws_to_accept": manifest.get("draws_to_accept"),
                "accepted": manifest.get("accepted", True)},
-        alpha=alpha,
+        alpha=design.alpha,
     )
     doc = report.to_json_dict()
     doc["adjustment"] = {
@@ -217,15 +217,15 @@ def cmd_estimate(args):
     return 0
 
 
-def cmd_simulate(args):
-    from .simulate import DgpSpec, benchmark_designs, run_monte_carlo
+def _read_simulation(spec, args):
+    """Check a simulation spec and build the designs it asks for, before anything is drawn."""
+    from .simulate import DgpSpec, benchmark_designs, check_designs, check_estimand
 
-    spec = _load_json(args.spec, "simulation spec")
-    check_keys(spec, _SIM_KEYS, "simulation spec", _SIM_REQUIRED)
     what = "simulation spec"
+    check_keys(spec, _SIM_KEYS, what, _SIM_REQUIRED)
     replicates = (args.replicates if args.replicates is not None
                   else spec_number(spec, "replicates", what, 1000, int))
-    seed = args.seed if args.seed is not None else spec_number(spec, "seed", what, 0, int)
+    seed = args.seed if args.seed is not None else spec_number(spec, "seed", what, 0, int, low=0)
     # one worker process per CPU this process may use (at most one per
     # replicate) unless told otherwise; the results do not depend on the count
     threads = args.threads
@@ -235,49 +235,47 @@ def cmd_simulate(args):
         threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
     model, dim_r, n = (spec_number(spec, key, what, kind=int) for key in ("model", "dim_r", "n"))
-    p = _unit_interval(spec, "p", what, 0.5)
-    ci_alpha = _unit_interval(spec, "ci_alpha", what, 0.05)
-    dgp = DgpSpec(model=model, dim_r=dim_r, n=n, p=p)
+    p, ci_alpha, accept_alpha = (
+        unit_interval(spec_number(spec, key, what, default), f"{what}: {key}")
+        for key, default in (("p", 0.5), ("ci_alpha", 0.05), ("accept_alpha", 1.0 / 500.0)))
     wanted = spec.get("designs", ["C", "S", "SR"])
-    if not (isinstance(wanted, list) and wanted and all(isinstance(w, str) for w in wanted)):
-        raise ConfigError(f"{what}: designs must be a list of design names, got {wanted!r}")
-    accept_alpha = _unit_interval(spec, "accept_alpha", what, 1.0 / 500.0)
-    available = {d.name: d for d in benchmark_designs(dgp.model, dgp.dim_r, accept_alpha)}
-    unknown = [w for w in wanted if w not in available]
-    if unknown:
-        raise ConfigError(f"unknown designs {unknown}; available: {sorted(available)}")
-    designs = [available[w] for w in wanted]
-    # refused here, not after run_monte_carlo has drawn its 10^6-unit oracle
-    for design in designs:
-        if design.kind == "complete":
-            if abs(n * p - round(n * p)) > 1e-9:
-                raise ConfigError(f"{what}: p = {p!r} does not fit design {design.name!r}: "
-                                  f"n*p = {n * p!r} units is not a whole number")
-        elif p != design.l / design.k:
-            raise ConfigError(f"{what}: p = {p!r} does not fit design {design.name!r}, "
-                              f"which treats {design.l} of every {design.k} units")
-    result = run_monte_carlo(
-        designs, dgp, replicates, seed,
-        estimand=spec.get("estimand", "sate"),
-        ci_alpha=ci_alpha,
-        threads=threads,
-    )
+    estimand = spec.get("estimand", "sate")
+    try:  # the simulation layer's own checks, reported as spec errors
+        dgp = DgpSpec(model=model, dim_r=dim_r, n=n, p=p)
+        check_estimand(estimand, dgp)
+        designs = benchmark_designs(model, dim_r, accept_alpha, wanted)
+        check_designs(designs, dgp)
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    return Simulation(spec, dgp, designs, estimand, replicates, seed, threads, ci_alpha)
+
+
+def cmd_simulate(args):
+    from .simulate import run_monte_carlo
+
+    sim = _read_simulation(_load_json(args.spec, "simulation spec"), args)
+    result = run_monte_carlo(sim.designs, sim.dgp, sim.replicates, sim.seed,
+                             estimand=sim.estimand, ci_alpha=sim.ci_alpha, threads=sim.threads)
     result.to_csv(args.out)
-    manifest = {"spec": spec, "seed": seed, "replicates": replicates,
+    manifest = {"spec": sim.spec, "seed": sim.seed, "replicates": sim.replicates,
                 "workers": result.workers, "failures": result.failures,
                 "meta": result.meta}
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
-    print(f"wrote {args.out} ({replicates} replicates, {result.failures} failures)")
+    print(f"wrote {args.out} ({sim.replicates} replicates, {result.failures} failures)")
     return 0
 
 
 def cmd_calibrate(args):
-    from .rerandomize import calibrate_threshold
+    from .rerandomize import calibrate_threshold, check_calibration
+    from .stratify import design_partition
 
-    _, seed, table, partition, region = _read_design(args)
-    calibrated = calibrate_threshold(region, partition, table.h, args.alpha,
-                                     RngSpec(seed, 2), draws=args.draws)
+    design = _read_design(_load_json(args.spec, "design spec"), "design spec", args.seed)
+    check_calibration(design.region, args.alpha, args.draws)
+    table = load_covariates(args.data, design.roles)
+    partition = design_partition(table.psi, design.match, RngSpec(design.seed, 0))
+    calibrated = calibrate_threshold(design.region, partition, table.h, args.alpha,
+                                     RngSpec(design.seed, 2), draws=args.draws)
     doc = calibrated.to_dict()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

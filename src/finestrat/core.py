@@ -147,16 +147,27 @@ def check_keys(doc, allowed, what, required=()):
         raise ConfigError(f"{what} has unknown keys {sorted(unknown)}")
 
 
-def spec_number(doc, key, what, default=None, kind=float):
+def spec_number(doc, key, what, default=None, kind=float, low=None):
     """doc[key], or the default when it is absent, as a ``kind`` (int or
-    float). A bool, a string, null or, for an int, a number with a fractional
-    part is refused naming the key, not truncated or left to fail later."""
+    float) of at least ``low``. A bool, a string, null or, for an int, a
+    number with a fractional part is refused naming the key, not truncated
+    or left to fail later."""
     value = doc.get(key, default)
     number = isinstance(value, (int, float, np.integer, np.floating)) and type(value) is not bool
     if number and (kind is float or value % 1 == 0):
-        return kind(value)
+        if low is None or value >= low:
+            return kind(value)
+        raise ConfigError(f"{what}: {key} must be >= {low}, got {value!r}")
     noun = "an integer" if kind is int else "a number"
     raise ConfigError(f"{what}: {key} must be {noun}, got {value!r}")
+
+
+def unit_interval(value, name):
+    """``value`` (a level or a share), refused naming ``name`` unless it lies
+    in (0, 1)."""
+    if value is None or not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must lie in (0, 1), got {value}")
+    return value
 
 
 # rows whose cell strings are held at once; each block becomes float64 as
@@ -243,25 +254,31 @@ def read_csv(source, columns, id_col, what, optional=()):
     return data, (None if id_col is None else np.array(ids))
 
 
-def load_covariates(source, role_map):
-    """Read a header-bearing CSV and assign columns to roles.
-
-    ``role_map`` maps column name -> role (one of psi/h/w/x/id) or a list of
-    roles. Columns absent from the map are ignored, and rows follow
-    ``read_csv``'s policy. A column shared by several roles is read once.
-    """
+def role_columns(role_map):
+    """The columns of each role, and the id column (or None), of a
+    ``role_map``: column name -> role (one of psi/h/w/x/id) or a list of
+    roles."""
     if not isinstance(role_map, dict):
         raise ConfigError(f"roles must map column names to roles, got {role_map!r}")
     roles = {r: [] for r in ROLE_NAMES}
     id_col = None
     for col, role_spec in role_map.items():
-        for role in [role_spec] if isinstance(role_spec, str) else list(role_spec):
+        for role in role_spec if isinstance(role_spec, (list, tuple)) else [role_spec]:
             if role == "id":
                 id_col = col
-            elif role in roles:
+            elif isinstance(role, str) and role in roles:
                 roles[role].append(col)
             else:
                 raise ConfigError(f"unknown role '{role}' for column '{col}'")
+    return roles, id_col
+
+
+def load_covariates(source, role_map):
+    """Read a header-bearing CSV and assign columns to roles
+    (``role_columns``). Columns absent from the map are ignored, and rows
+    follow ``read_csv``'s policy. A column shared by several roles is read
+    once."""
+    roles, id_col = role_columns(role_map)
     used = list(dict.fromkeys(c for cols in roles.values() for c in cols))
     data, ids = read_csv(source, used, id_col, "covariates")
     views = {role: data[:, [used.index(c) for c in cols]] if cols
@@ -442,8 +459,7 @@ class ExperimentFrame:
             raise ConfigError(f"d must have shape ({n},), got {d.shape}")
         if not np.isin(d, (0, 1)).all():
             raise ConfigError("d must be binary")
-        if not 0.0 < self.p < 1.0:
-            raise ConfigError(f"p must lie in (0, 1), got {self.p}")
+        unit_interval(self.p, "p")
         m = self.p * n
         if abs(m - round(m)) > 1e-9 or int(d.sum()) != round(m):
             raise ConfigError(
@@ -473,8 +489,7 @@ def horvitz_thompson_weights(frame_or_d, p=None):
         d, p = frame_or_d.d, frame_or_d.p
     else:
         d = np.asarray(frame_or_d)
-    if p is None or not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p}")
+    unit_interval(p, "p")
     return np.where(d == 1, 1.0 / p, -1.0 / (1.0 - p))
 
 

@@ -250,9 +250,8 @@ BUILTIN_ESTIMANDS = {
 
 
 def estimand_by_name(name):
-    try:
-        return BUILTIN_ESTIMANDS[name]()
-    except KeyError:
+    make = BUILTIN_ESTIMANDS.get(name) if isinstance(name, str) else None
+    if make is None:
         raise ConfigError(
-            f"unknown estimand {name!r}; expected one of {sorted(BUILTIN_ESTIMANDS)}"
-        ) from None
+            f"unknown estimand {name!r}; expected one of {sorted(BUILTIN_ESTIMANDS)}")
+    return make()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, EstimationError, cov_n, horvitz_thompson_weights
+from .core import ConfigError, EstimationError, cov_n, horvitz_thompson_weights, unit_interval
 
 _NEG_TOL = 1e-6
 
@@ -270,8 +270,7 @@ def confidence_intervals(fit, adj, components, contrasts=None, alpha=0.05,
     """Finite-population (conservative) and superpopulation (exact)
     intervals centered at the adjusted contrast estimate. When no contrasts
     are given, per-coordinate intervals are reported."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    unit_interval(alpha, "alpha")
     d_theta = adj.theta_adj.size
     if contrasts is None:
         contrasts = [np.eye(d_theta)[j] for j in range(d_theta)]

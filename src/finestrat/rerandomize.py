@@ -45,6 +45,7 @@ from .core import (
     psd_root,
     rank_checked_cholesky,
     spec_number,
+    unit_interval,
     within_tuple_demean,
 )
 from .gmm import fd_jacobian, newton_root
@@ -83,8 +84,7 @@ def mahalanobis_stat(frame, partition, x=None):
 
 
 def _check_level(alpha):
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
+    unit_interval(alpha, "alpha")
     if alpha > 1.0 - 1e-6:
         raise ConfigError("alpha too close to 1; threshold would be unbounded")
 
@@ -421,8 +421,7 @@ def pilot_wald_region(gamma_pilot, sigma_pilot, m, alpha, eps):
     gamma_pilot = np.asarray(gamma_pilot, dtype=np.float64).ravel()
     if m < 1:
         raise ConfigError("pilot size m must be >= 1")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"pilot-wald alpha must lie in (0, 1), got {alpha}")
+    unit_interval(alpha, "pilot-wald alpha")
     root = psd_root(sigma_pilot, label="pilot covariance")
     c_alpha = _chi2_quantile(1.0 - alpha, gamma_pilot.size)
     if not np.isfinite(c_alpha):
@@ -619,15 +618,21 @@ def gmm_imbalance(frame, score, jac=None, x=None, beta_init=None, dim_beta=None)
 # the accept/reject loop
 
 
+def check_calibration(region, alpha, draws):
+    """Refuse what calibrate_threshold refuses before it sees data: alpha
+    outside (0, 1), draws below 1, a region with no threshold. Returns the
+    region with its threshold lifted."""
+    unit_interval(alpha, "alpha")
+    if draws < 1:
+        raise ConfigError("draws must be >= 1")
+    return region.with_threshold(np.inf)
+
+
 def calibrate_threshold(region, partition, h, alpha, rng, draws=2000):
     """Monte Carlo calibration: simulate pure stratified draws, set the
     region's threshold to the empirical alpha-quantile of its penalty."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    if draws < 1:
-        raise ConfigError("draws must be >= 1")
-    gen = as_generator(rng)
-    pens = _batch_penalties(region.with_threshold(np.inf), partition, h, gen, draws)
+    unbounded = check_calibration(region, alpha, draws)
+    pens = _batch_penalties(unbounded, partition, h, as_generator(rng), draws)
     return region.with_threshold(float(np.quantile(pens, alpha)))
 
 

@@ -33,7 +33,7 @@ from .gmm import estimand_by_name
 from .inference import confidence_intervals, variance_components
 from .randomize import draw_complete, draw_stratified
 from .rerandomize import AcceptanceRegion, FullSpaceRegion, MahalanobisRegion, rerandomize
-from .stratify import MatchConfig, design_partition
+from .stratify import MatchConfig, collapsed_strata, design_partition
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,14 @@ class DgpSpec:
             raise ConfigError(f"unknown outcome model {self.model}")
         if self.covariance not in ("identity", "equicorrelated"):
             raise ConfigError(f"unknown covariance {self.covariance!r}")
+        if self.n < 2:
+            raise ConfigError(f"n must be at least 2, got {self.n}")
         if self.n % 2 != 0:
             raise ConfigError("n must be even (the built-in designs use pairs)")
+        # models 2-4 spread their coefficients over the dim_r - 1 columns after the first
+        low = 1 if self.model == 1 else 2
+        if self.dim_r < low:
+            raise ConfigError(f"model {self.model} needs dim_r >= {low}, got {self.dim_r}")
 
 
 @dataclass(frozen=True)
@@ -158,24 +164,31 @@ class DesignSpec:
             raise ConfigError(f"design {self.name!r} rerandomizes but has no h columns")
 
 
-def benchmark_designs(model, dim_r, accept_alpha=1.0 / 500.0):
-    """The three benchmark designs: complete randomization, full matched
-    pairs (extra weight sqrt(2) on the lead covariate for the asymmetric
-    models), and pairs on the lead covariate with a quadratic balance rule
-    on the rest."""
+def benchmark_designs(model, dim_r, accept_alpha=1.0 / 500.0, names=("C", "S", "SR")):
+    """The benchmark designs named in ``names``, in that order: complete
+    randomization "C", full matched pairs "S" (extra weight sqrt(2) on the
+    lead covariate for the asymmetric models), and "SR", pairs on the lead
+    covariate with a quadratic balance rule on the rest. Only the named
+    designs are built, so one that does not fit dim_r blocks no other."""
     all_cols = tuple(range(dim_r))
     rest = tuple(range(1, dim_r))
     weights = None
     if model >= 2:
         weights = (math.sqrt(2.0),) + (1.0,) * (dim_r - 1)
-    return [
-        DesignSpec(name="C", kind="complete", w_cols=all_cols),
-        DesignSpec(name="S", kind="stratified", psi_cols=all_cols,
-                   psi_weights=weights, w_cols=all_cols),
-        DesignSpec(name="SR", kind="rerandomized", psi_cols=(0,),
-                   match_method="sorted-1d", h_cols=rest, w_cols=rest,
-                   region=MahalanobisRegion(alpha=accept_alpha)),
-    ]
+    build = {
+        "C": lambda: DesignSpec(name="C", kind="complete", w_cols=all_cols),
+        "S": lambda: DesignSpec(name="S", kind="stratified", psi_cols=all_cols,
+                                psi_weights=weights, w_cols=all_cols),
+        "SR": lambda: DesignSpec(name="SR", kind="rerandomized", psi_cols=(0,),
+                                 match_method="sorted-1d", h_cols=rest, w_cols=rest,
+                                 region=MahalanobisRegion(alpha=accept_alpha)),
+    }
+    if not (isinstance(names, (list, tuple)) and names and all(isinstance(w, str) for w in names)):
+        raise ConfigError(f"designs must be a list of design names, got {names!r}")
+    unknown = [name for name in names if name not in build]
+    if unknown:
+        raise ConfigError(f"unknown designs {unknown}; available: {sorted(build)}")
+    return [build[name]() for name in names]
 
 
 def assign_design(design, r, p, rng):
@@ -198,6 +211,35 @@ def assign_design(design, r, p, rng):
 
 # ---------------------------------------------------------------------------
 # finite population targets and plug-in oracles
+
+
+def check_estimand(estimand, dgp):
+    """Refuse an unknown estimand, or one that needs a compliance rate the
+    DGP does not set, before anything is drawn."""
+    estimand_by_name(estimand)
+    if estimand in ("late", "clate") and dgp.compliance is None:
+        raise ConfigError(f"estimand {estimand!r} needs a DGP with noncompliance "
+                          "(DgpSpec.compliance is not set)")
+
+
+def check_designs(designs, dgp):
+    """Refuse, before anything is drawn, a design that does not fit the DGP:
+    p must be l/k (for complete randomization, n*p must be whole), and where
+    strata collapse the group count must be even."""
+    n, p = dgp.n, dgp.p
+    for design in designs:
+        if design.kind == "complete":
+            if abs(n * p - round(n * p)) > 1e-9:
+                raise ConfigError(f"p = {p!r} does not fit design {design.name!r}: "
+                                  f"n*p = {n * p!r} units is not a whole number")
+        elif p != design.l / design.k:
+            raise ConfigError(f"p = {p!r} does not fit design {design.name!r}, "
+                              f"which treats {design.l} of every {design.k} units")
+        else:
+            try:
+                collapsed_strata(n, design.k, design.l)
+            except ConfigError as exc:
+                raise ConfigError(f"design {design.name!r}: {exc}") from None
 
 
 def finite_pop_estimand(draw, estimand, p, x=None):
@@ -469,9 +511,7 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
     if len(set(names)) != len(names):
         raise ConfigError("design names must be unique")
 
-    if estimand in ("late", "clate") and dgp.compliance is None:
-        raise ConfigError(f"estimand {estimand!r} needs a DGP with noncompliance "
-                          "(DgpSpec.compliance is not set)")
+    check_estimand(estimand, dgp)
     if estimand in ("cate", "clate") and x_cols is None:
         x_cols = (0,)
     if theta0 is None:

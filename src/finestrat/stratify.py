@@ -32,8 +32,11 @@ class MatchConfig:
         if self.method not in _METHODS:
             raise ConfigError(f"unknown matching method {self.method!r}, expected one of {_METHODS}")
         if self.psi_weights is not None:
-            w = np.asarray(self.psi_weights, dtype=np.float64)
-            if w.ndim != 1 or (w <= 0).any():
+            try:
+                w = np.asarray(self.psi_weights, dtype=np.float64)
+            except (TypeError, ValueError):
+                w = None  # not numbers
+            if w is None or w.ndim != 1 or not (np.isfinite(w) & (w > 0)).all():
                 raise ConfigError("psi_weights must be a vector of strictly positive reals")
             object.__setattr__(self, "psi_weights", w)
 
@@ -293,22 +296,30 @@ def pair_groups_by_centroid(partition, psi):
     return replace(partition, pairing=rho, pairing_stat=stat)
 
 
+def collapsed_strata(n, k, l):
+    """Whether n units in matched groups of k, l treated in each, are paired
+    into collapsed strata: groups with a single treated or a single control
+    unit need them for their variance bounds. An odd group count, which
+    cannot be paired, is refused."""
+    collapse = min(l, k - l) < 2
+    if collapse and n % (2 * k) == k:
+        raise ConfigError(f"n={n} in groups of k={k} gives an odd number of groups "
+                          f"({n // k}), which cannot be paired into collapsed strata")
+    return collapse
+
+
 def design_partition(psi, cfg, rng=None):
     """The partition a design assigns within: one group of all n units when
-    psi has no columns, else groups of k matched on (weighted) psi. Groups
-    with a single treated or a single control unit need collapsed strata for
-    their variance bounds, so they are also paired on their centroids; an
-    odd group count is refused before any matching or draw."""
+    psi has no columns, else groups of k matched on (weighted) psi, paired
+    on their centroids where ``collapsed_strata`` says so. An odd group
+    count is refused before any matching or draw."""
     psi = as_matrix(psi, "psi")
     n, k, l = psi.shape[0], cfg.k, cfg.l
     if psi.shape[1] == 0:
         if n % k != 0:
             raise ConfigError(f"n={n} not divisible by k={k}")
         return GroupPartition(groups=np.arange(n)[None, :], k=n, l=n * l // k)
-    collapse = min(l, k - l) < 2
-    if collapse and n % (2 * k) == k:
-        raise ConfigError(f"n={n} in groups of k={k} gives an odd number of groups "
-                          f"({n // k}), which cannot be paired into collapsed strata")
+    collapse = collapsed_strata(n, k, l)
     partition = match_k_tuples(psi, cfg, rng)
     if collapse:
         work = psi if cfg.psi_weights is None else psi * cfg.psi_weights

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -263,10 +264,26 @@ def test_wrong_typed_spec_values_exit_2(workspace, capsys, command, key, value, 
     ({"p": 1.5}, "simulation spec: p must lie in (0, 1), got 1.5"),
     ({"ci_alpha": 1.5}, "simulation spec: ci_alpha must lie in (0, 1), got 1.5"),
     ({"accept_alpha": 0.0}, "simulation spec: accept_alpha must lie in (0, 1), got 0.0"),
-], ids=["p-pairs", "p-complete", "p-range", "ci_alpha", "accept_alpha"])
+    ({"estimand": "foo"}, "simulation spec: unknown estimand 'foo'; expected one of"),
+    ({"estimand": "late"}, "simulation spec: estimand 'late' needs a DGP with noncompliance"),
+    ({"estimand": "clate"}, "simulation spec: estimand 'clate' needs a DGP with noncompliance"),
+    ({"n": 62}, "simulation spec: design 'S': n=62 in groups of k=2 gives an odd number "
+                "of groups (31)"),
+    ({"n": 62, "designs": ["C", "SR"]}, "simulation spec: design 'SR': n=62 in groups"),
+    ({"n": -4}, "simulation spec: n must be at least 2, got -4"),
+    ({"dim_r": 1, "designs": ["C"]}, "simulation spec: model 2 needs dim_r >= 2, got 1"),
+    ({"model": 1, "dim_r": 0}, "simulation spec: model 1 needs dim_r >= 1, got 0"),
+    ({"model": 1, "dim_r": 1, "designs": ["C", "SR"]},
+     "simulation spec: design 'SR' rerandomizes but has no h columns"),
+    ({"seed": -1}, "simulation spec: seed must be >= 0, got -1"),
+], ids=["p-pairs", "p-complete", "p-range", "ci_alpha", "accept_alpha", "estimand-unknown",
+        "estimand-late", "estimand-clate", "odd-groups-S", "odd-groups-SR", "n-negative",
+        "dim_r-model2", "dim_r-model1", "SR-without-h", "seed-negative"])
 def test_simulation_spec_shares_and_levels_are_checked_before_the_oracle(
         tmp_path, capsys, monkeypatch, edit, message):
-    # p and ci_alpha failed only after the 10^6-unit oracle; no message named the key
+    # p and ci_alpha failed only after the 10^6-unit oracle; no message named the key.
+    # An unknown estimand, an odd group count, a negative n and a negative seed
+    # failed only after it, and n = -4 failed every replicate (exit 1)
     def no_oracle(*args):
         raise AssertionError("the oracle ran before the spec was checked")
 
@@ -276,6 +293,95 @@ def test_simulation_spec_shares_and_levels_are_checked_before_the_oracle(
     assert main(["simulate", "--spec", str(tmp_path / "sim.json"),
                  "--out", str(tmp_path / "r.csv")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_simulate_builds_only_the_requested_designs(tmp_path):
+    # "SR" balances on the columns after the first, so with dim_r = 1 it
+    # cannot be built; it used to refuse runs that did not ask for it
+    spec = {"model": 1, "dim_r": 1, "n": 40, "replicates": 100, "designs": ["C", "S"]}
+    (tmp_path / "sim.json").write_text(json.dumps(spec))
+    out = tmp_path / "r.csv"
+    assert main(["simulate", "--spec", str(tmp_path / "sim.json"), "--out", str(out),
+                 "--threads", "1"]) == 0
+    with open(out) as fh:
+        assert [(r["design"], r["dim"]) for r in csv.DictReader(fh)] == [
+            ("C", "1"), ("C", "1"), ("S", "1"), ("S", "1")]
+
+
+@pytest.mark.parametrize("command, edit, flags, message", [
+    ("assign", {"max_draws": 0}, [], "design spec: max_draws must be >= 1, got 0"),
+    ("assign", {"max_draws": 2.5}, [], "design spec: max_draws must be an integer, got 2.5"),
+    ("assign", {"seed": -1}, [], "design spec: seed must be >= 0, got -1"),
+    ("assign", {"estimand": "foo"}, [], "unknown estimand 'foo'; expected one of"),
+    ("assign", {"estimand": ["sate"]}, [], "unknown estimand ['sate']"),
+    ("assign", {"l": 2}, [], "need 1 <= l <= k-1, got l=2, k=2"),
+    ("assign", {"roles": ["a"]}, [], "roles must map column names to roles, got ['a']"),
+    ("assign", {"roles": {"baseline": "zeta"}}, [], "unknown role 'zeta' for column 'baseline'"),
+    ("assign", {"match": {"method": "nearest"}}, [], "unknown matching method 'nearest'"),
+    ("assign", {"match": {"weights": "x"}}, [], "psi_weights must be a vector of strictly positive"),
+    ("assign", {"match": {"weights": [-1.0]}}, [], "psi_weights must be a vector of strictly"),
+    ("assign", {"region": {"shape": "cube"}}, [], "unknown region shape 'cube'"),
+    ("assign", {"region": {"shape": "ball", "dim": "x", "eps": 1.0}}, [],
+     "region 'ball': dim must be an integer, got 'x'"),
+    ("assign", {"region": {"shape": "pilot-wald", "gamma_pilot": [0.5, 0.0], "m": 50,
+                           "sigma_pilot": [[1, 0], [0, 1]], "alpha": 1.5, "eps": 1.0}}, [],
+     "pilot-wald alpha must lie in (0, 1), got 1.5"),
+    ("calibrate", {}, ["--alpha", "2"], "alpha must lie in (0, 1), got 2.0"),
+    ("calibrate", {}, ["--draws", "0"], "draws must be >= 1"),
+    ("calibrate", {"region": None}, [], "region 'none' has no threshold to calibrate"),
+    ("estimate", {"alpha": 2.0}, [], "manifest spec: alpha must lie in (0, 1), got 2.0"),
+    ("estimate", {"estimand": "foo"}, [], "unknown estimand 'foo'; expected one of"),
+    ("estimate", {"max_draws": "x"}, [], "manifest spec: max_draws must be an integer, got 'x'"),
+    ("estimate", {"roles": {"baseline": "zeta"}}, [], "unknown role 'zeta' for column 'baseline'"),
+], ids=["max_draws-0", "max_draws-fraction", "seed-negative", "estimand-unknown", "estimand-list",
+        "l-equals-k", "roles-list", "role-unknown", "method-unknown", "weights-string",
+        "weights-negative", "region-shape", "region-number", "pilot-wald-alpha",
+        "calibrate-alpha", "calibrate-draws", "calibrate-no-region", "manifest-alpha",
+        "manifest-estimand", "manifest-max_draws", "manifest-role"])
+def test_spec_and_argument_refusals_come_before_the_covariates_are_read(
+        workspace, capsys, monkeypatch, command, edit, flags, message):
+    # each was refused only after the covariate file was read and its units
+    # matched, or (an unknown assign estimand, a bad manifest max_draws) not at all
+    tmp_path, cov, spec_path, _ = workspace
+    spec = dict(json.loads(spec_path.read_text()), region={"shape": "ball", "dim": 2, "eps": 1.0})
+    out = tmp_path / "out.json"
+    if command == "estimate":
+        spec_path.write_text(json.dumps(spec))
+        assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                     "--out", str(tmp_path / "assign.csv")]) == 0
+        manifest_path = tmp_path / "assign.csv.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["spec"].update(edit)
+        manifest_path.write_text(json.dumps(manifest))
+        argv = ["estimate", "--manifest", str(manifest_path), "--data", str(cov),
+                "--outcomes", str(tmp_path / "y.csv"), "--out", str(out)]
+    else:
+        spec_path.write_text(json.dumps(dict(spec, **edit)))
+        argv = [command, "--spec", str(spec_path), "--data", str(cov), "--out", str(out)]
+        if command == "calibrate":
+            argv += ["--alpha", "0.2", "--draws", "100", *flags]  # the last of a flag wins
+
+    def unread(*args):
+        raise AssertionError("the covariate file was read before the spec was checked")
+
+    monkeypatch.setattr("finestrat.cli.load_covariates", unread)
+    monkeypatch.setattr("finestrat.cli._sha256", unread)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
+def test_readme_key_tables_list_every_spec_key():
+    # a spec key cannot be added without its row in the README's key tables
+    from finestrat.cli import _DESIGN_KEYS, _MATCH_KEYS, _SIM_KEYS
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sections = {part.split("\n", 1)[0]: part for part in re.split(r"\n#{2,4} ", text)}
+    for heading, keys in (("Design spec keys", _DESIGN_KEYS), ("Match block keys", _MATCH_KEYS),
+                          ("Simulation spec keys", _SIM_KEYS)):
+        rows = re.findall(r"^\| `(\w+)` \|", sections[heading], re.M)
+        assert sorted(rows) == sorted(keys), heading
 
 
 def test_calibrate_writes_threshold(workspace, capsys):

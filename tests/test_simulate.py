@@ -224,6 +224,20 @@ def test_run_monte_carlo_requires_replicates():
         run_monte_carlo(benchmark_designs(1, 2), dgp, replicates=50, seed=0)
 
 
+def test_run_monte_carlo_refuses_an_unknown_estimand_before_the_oracle(monkeypatch):
+    # finite_pop_estimand named an unknown estimand only once the oracle's
+    # 10^6-unit sample had been drawn
+    from finestrat import simulate
+
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran before the estimand was checked")
+
+    monkeypatch.setattr(simulate, "_oracle_sample", no_oracle)
+    with pytest.raises(ConfigError, match="unknown estimand 'foo'"):
+        run_monte_carlo(benchmark_designs(1, 2), DgpSpec(model=1, dim_r=2, n=40),
+                        replicates=100, seed=0, estimand="foo")
+
+
 def test_constant_effect_recovered_exactly_by_every_design():
     # no-noise, constant-effect data: every design and estimator returns tau
     from finestrat import (
