@@ -104,7 +104,10 @@ def _read_design(spec, what, seed=None, layers=True):
 
         method = match.get("method", "sorted-1d" if len(roles["psi"]) == 1 else "greedy-nn")
         cfg = MatchConfig(k=k, l=l, psi_weights=match.get("weights"), method=method)
+        if roles["psi"]:  # with no psi column every unit is in one group
+            cfg.check_dim(len(roles["psi"]))
         region = region_from_dict(spec.get("region"))
+        region.check_dim(len(roles["h"]))
     return Design(spec, spec["roles"], seed, estimand, alpha, max_draws, cfg, region)
 
 
@@ -283,6 +286,13 @@ def cmd_calibrate(args):
     return 0
 
 
+def _seed(text):
+    """A --seed value; argparse refuses anything but a whole number >= 0 with exit 2."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="finestrat",
@@ -296,7 +306,7 @@ def build_parser():
     p_assign.add_argument("--out", required=True)
     p_assign.add_argument("--manifest")
     p_assign.add_argument("--trace")
-    p_assign.add_argument("--seed", type=int)
+    p_assign.add_argument("--seed", type=_seed)
     p_assign.set_defaults(func=cmd_assign)
 
     p_est = sub.add_parser("estimate", help="estimate effects from realized outcomes")
@@ -311,7 +321,7 @@ def build_parser():
     p_sim.add_argument("--spec", required=True)
     p_sim.add_argument("--out", required=True)
     p_sim.add_argument("--replicates", type=int)
-    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--seed", type=_seed)
     p_sim.add_argument("--threads", type=int)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -321,7 +331,7 @@ def build_parser():
     p_cal.add_argument("--out", required=True)
     p_cal.add_argument("--alpha", type=float, required=True)
     p_cal.add_argument("--draws", type=int, default=2000)
-    p_cal.add_argument("--seed", type=int)
+    p_cal.add_argument("--seed", type=_seed)
     p_cal.set_defaults(func=cmd_calibrate)
     return parser
 

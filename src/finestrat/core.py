@@ -162,6 +162,26 @@ def spec_number(doc, key, what, default=None, kind=float, low=None):
     raise ConfigError(f"{what}: {key} must be {noun}, got {value!r}")
 
 
+def spec_array(doc, key, what):
+    """doc[key] as a float64 array: a number, or a list (nested to any depth)
+    of numbers. A bool, a string or null anywhere in it, or a ragged list, is
+    refused naming the key, as spec_number refuses a scalar."""
+    value = doc.get(key)
+
+    def numbers(v):
+        if isinstance(v, list):
+            return all(numbers(e) for e in v)
+        return isinstance(v, (int, float)) and type(v) is not bool
+
+    try:
+        if numbers(value):
+            return np.array(value, dtype=np.float64)
+    except ValueError:  # a ragged list
+        pass
+    raise ConfigError(f"{what}: {key} must be a number or a rectangular list of numbers, "
+                      f"got {value!r}")
+
+
 def unit_interval(value, name):
     """``value`` (a level or a share), refused naming ``name`` unless it lies
     in (0, 1)."""
@@ -418,9 +438,7 @@ class RngSpec:
     stream: int = 0
 
     def generator(self):
-        return np.random.default_rng(
-            np.random.SeedSequence(self.seed, spawn_key=(self.stream,))
-        )
+        return self.substream()
 
     def substream(self, *key):
         """Independent generator derived from this spec and an integer key."""

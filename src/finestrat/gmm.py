@@ -142,7 +142,7 @@ def solve_gmm(frame, spec, theta_init=None, tol=1e-10, max_iter=200):
     return GmmFit(theta=theta, Pi=Pi, G=G, scores=scores, iterations=iters, trace=trace)
 
 
-def assignment_component(fit, frame=None, spec=None):
+def assignment_component(fit):
     """Per-unit influence contributions Pi @ g_i at the fitted parameter,
     as an (n, d_theta) matrix."""
     return fit.scores @ fit.Pi.T

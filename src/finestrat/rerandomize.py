@@ -19,9 +19,10 @@ dim-vector T and needs no covariance (full space, polar/ball/box); the base
 class then supplies ``bind`` (the same bound with ``stats = h``) and
 ``population(var_zh)`` (the bound on the limiting Gaussian statistic).
 Regions that need the data override ``bind``, and ``population`` when they
-have a limiting analog. ``with_threshold`` and ``to_dict`` enable Monte
-Carlo calibration and JSON specs; the base class raises ``ConfigError`` for
-each method a region lacks.
+have a limiting analog. ``check_dim(dim)``, which ``bind`` runs, refuses a
+number of balance covariates the region cannot take. ``with_threshold``
+and ``to_dict`` enable Monte Carlo calibration and JSON specs; the base
+class raises ``ConfigError`` for each method a region lacks.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .core import (
     check_keys,
     psd_root,
     rank_checked_cholesky,
+    spec_array,
     spec_number,
     unit_interval,
     within_tuple_demean,
@@ -247,6 +249,14 @@ class AcceptanceRegion:
     """Base class: a symmetric accept/reject rule on the imbalance statistic."""
 
     shape = "abstract"
+    # set by a region that needs balance covariates: its name in the refusal
+    needs_h = None
+
+    def check_dim(self, dim):
+        """Refuse dim balance covariates where the region cannot take them.
+        bind runs it, and so does a design spec's reader, before data is read."""
+        if self.needs_h and dim == 0:
+            raise ConfigError(f"{self.needs_h} needs balance covariates (d_h = 0)")
 
     def fixed(self, dim):
         """Bound on a dim-vector statistic, for regions needing no covariance."""
@@ -291,6 +301,7 @@ class MahalanobisRegion(AcceptanceRegion):
     eps2: float | None = None
 
     shape = "ellipsoid-mahalanobis"
+    needs_h = "quadratic region"
 
     def __post_init__(self):
         if self.alpha is None and self.eps2 is None:
@@ -324,8 +335,7 @@ class MahalanobisRegion(AcceptanceRegion):
         )
 
     def bind(self, h, partition, p):
-        if h.shape[1] == 0:
-            raise ConfigError("quadratic region needs balance covariates (d_h = 0)")
+        self.check_dim(h.shape[1])
         return self._bound(_finite_sample_sigma(h, partition, p), h)
 
     def population(self, var_zh):
@@ -394,11 +404,14 @@ class PolarRegion(AcceptanceRegion):
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.abs(x @ self.gamma_bar) + _rowwise_norm(x @ self.U, q)
 
-    def fixed(self, dim):
+    def check_dim(self, dim):
         if dim != self.gamma_bar.size:
             raise ConfigError(
                 f"region built for {self.gamma_bar.size} balance covariates, got {dim}"
             )
+
+    def fixed(self, dim):
+        self.check_dim(dim)
         return Bound(self.penalty, self.eps)
 
     def with_threshold(self, threshold):
@@ -440,17 +453,21 @@ class PropensityRegion(AcceptanceRegion):
     link: str = "logit"
 
     shape = "propensity-threshold"
+    needs_h = "propensity region"
+
+    def __post_init__(self):
+        if self.link != "logit":
+            raise ConfigError(f"unsupported link {self.link!r}")
 
     def bind(self, h, partition, p):
-        if h.shape[1] == 0:
-            raise ConfigError("propensity region needs balance covariates (d_h = 0)")
+        self.check_dim(h.shape[1])
         X = np.column_stack([np.ones(h.shape[0]), h])
 
         def penalty(d):
             # separation means covariates perfectly predict the draw: treat
             # as maximal imbalance rather than aborting the loop
             try:
-                return propensity_stat(d, X, p=p, link=self.link).value
+                return propensity_stat(d, X, p=p).value
             except EstimationError:
                 return np.inf
 
@@ -478,10 +495,10 @@ class GmmRegion(AcceptanceRegion):
     feasible: bool = False
 
     shape = "gmm-region"
+    needs_h = "moment-fit region"
 
     def bind(self, h, partition, p):
-        if h.shape[1] == 0:
-            raise ConfigError("moment-fit region needs covariates (d_h = 0)")
+        self.check_dim(h.shape[1])
         pooled, G = _pooled_moment_fit(h, self.score, self.jac, self.beta_init)
         if self.feasible:
             base = self.base.bind(np.atleast_2d(self.score(h, pooled)), partition, p)
@@ -505,9 +522,9 @@ class GmmRegion(AcceptanceRegion):
 # refitted-model statistics
 
 
-def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100):
+def propensity_stat(frame_or_d, x, p=None):
     """Mean squared gap between the target assignment share and a fitted
-    propensity model: n * E_n[(p - L(x'beta))^2].
+    logit propensity model: n * E_n[(p - L(x'beta))^2].
 
     The logit score Xs'(d - expit(Xs beta))/n is driven to zero by
     gmm.newton_root on the standardized design Xs; coefficients are mapped
@@ -516,8 +533,6 @@ def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100
     """
     from scipy.special import expit
 
-    if link != "logit":
-        raise ConfigError(f"unsupported link {link!r}")
     if isinstance(frame_or_d, ExperimentFrame):
         d, p = frame_or_d.d.astype(np.float64), frame_or_d.p
     else:
@@ -542,8 +557,8 @@ def propensity_stat(frame_or_d, x, p=None, link="logit", tol=1e-10, max_iter=100
         prob = expit(Xs @ beta)
         return -((Xs * (prob * (1.0 - prob))[:, None]).T @ Xs) / n
 
-    beta, iters, trace = newton_root(score, jac, np.zeros(X.shape[1]), tol=tol,
-                                     max_iter=max_iter, label="propensity fit")
+    beta, iters, trace = newton_root(score, jac, np.zeros(X.shape[1]), max_iter=100,
+                                     label="propensity fit")
     eta = Xs @ beta
     if np.abs(eta).max() > 15.0:
         raise EstimationError(
@@ -575,15 +590,15 @@ def _moment_root(x, score, jac, beta_init, label):
     return beta, fun
 
 
-def _pooled_moment_fit(x, score, jac, beta_init, dim_beta=None):
+def _pooled_moment_fit(x, score, jac, beta_init):
     if beta_init is None:
-        beta_init = np.zeros(x.shape[1] if dim_beta is None else dim_beta)
+        beta_init = np.zeros(x.shape[1])
     beta_init = np.atleast_1d(np.asarray(beta_init, dtype=np.float64))
     probe = np.atleast_2d(score(x, beta_init))
     if probe.shape[1] != beta_init.size:
         raise ConfigError(
             f"moment model has {probe.shape[1]} moments but {beta_init.size} "
-            "parameters; pass dim_beta or beta_init for non-square models"
+            "parameters; beta_init sets the parameter count where it is not the covariate count"
         )
     beta, fun = _moment_root(x, score, jac, beta_init, "pooled")
     G = jac(x, beta) if jac is not None else fd_jacobian(fun, beta)
@@ -598,13 +613,13 @@ def _arm_gap(x, d, score, jac, start):
     return np.sqrt(x.shape[0]) * (beta1 - beta0), beta1, beta0
 
 
-def gmm_imbalance(frame, score, jac=None, x=None, beta_init=None, dim_beta=None):
+def gmm_imbalance(frame, score, jac=None, x=None, beta_init=None):
     """Scaled gap sqrt(n)(beta_1 - beta_0) between within-arm fits of an
     exactly identified moment model m(x, beta). The pooled-fit score values
     (a feasible linear surrogate for the same criterion) and the pooled
     Jacobian ride along in ``extra``."""
     x = np.asarray(frame.covariates.h if x is None else x, dtype=np.float64)
-    pooled, G = _pooled_moment_fit(x, score, jac, beta_init, dim_beta)
+    pooled, G = _pooled_moment_fit(x, score, jac, beta_init)
     value, beta1, beta0 = _arm_gap(x, frame.d, score, jac, pooled)
     surrogate = np.atleast_2d(score(x, pooled))
     return ImbalanceStat(
@@ -797,6 +812,7 @@ def region_from_dict(spec):
     what = f"region {shape!r}"
     check_keys(spec, {"shape", *required, *optional}, what, required)
     num = partial(spec_number, spec, what=what)
+    arr = partial(spec_array, spec, what=what)
     if shape == "none":
         return FullSpaceRegion()
     if shape in ("mahalanobis", "ellipsoid-mahalanobis"):
@@ -804,8 +820,7 @@ def region_from_dict(spec):
                                     if spec.get(key) is not None})
     if generic:
         return PolarRegion(
-            gamma_bar=np.asarray(spec["gamma_bar"], dtype=np.float64),
-            U=np.asarray(spec["U"], dtype=np.float64),
+            gamma_bar=arr("gamma_bar"), U=arr("U"),
             p_exponent=np.inf if spec.get("p") is None else num("p"),
             eps=num("eps"),
             shape=shape,
@@ -813,10 +828,10 @@ def region_from_dict(spec):
     if shape == "ball":
         return PolarRegion.ball(dim=num("dim", kind=int), eps=num("eps"))
     if shape == "rectangle-polar":
-        return PolarRegion.rectangle(spec["a"], spec["b"], eps=num("eps"))
+        return PolarRegion.rectangle(arr("a"), arr("b"), eps=num("eps"))
     if shape == "pilot-wald":
         return pilot_wald_region(
-            spec["gamma_pilot"], spec["sigma_pilot"], m=num("m", kind=int),
+            arr("gamma_pilot"), arr("sigma_pilot"), m=num("m", kind=int),
             alpha=num("alpha"), eps=num("eps"),
         )
     return PropensityRegion(eps2=num("eps2"), link=spec.get("link", "logit"))

@@ -311,18 +311,23 @@ def _locality_order(psi):
     return np.argsort(key, kind="stable")
 
 
-def _oracle_sample(dgp, x_cols, n_oracle, rng):
+def _regressors(estimand, r):
+    """The heterogeneity regressors of an estimand on covariates r: an
+    intercept and the first covariate for cate/clate, None otherwise."""
+    if estimand in ("cate", "clate"):
+        return np.column_stack([np.ones(r.shape[0]), r[:, [0]]])
+    return None
+
+
+def _oracle_sample(dgp, estimand, n_oracle, rng):
     """A large synthetic draw (an even number of units near ``n_oracle``)
-    and its heterogeneity regressors (None without ``x_cols``)."""
-    big = replace(dgp, n=int(n_oracle) + (int(n_oracle) % 2))
-    draw = generate_dgp(big, rng)
-    if x_cols is None:
-        return draw, None
-    return draw, np.column_stack([np.ones(big.n), draw.r[:, list(x_cols)]])
+    and the estimand's regressors on it."""
+    draw = generate_dgp(replace(dgp, n=int(n_oracle) + (int(n_oracle) % 2)), rng)
+    return draw, _regressors(estimand, draw.r)
 
 
 def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=(),
-                         x_cols=None, psi_weights=None, n_oracle=1_000_000, rng=0):
+                         psi_weights=None, n_oracle=1_000_000, rng=0):
     """Plug-in limiting-distribution parameters on a large synthetic sample.
 
     Conditional (within-stratum) moments are approximated by within-pair
@@ -330,7 +335,7 @@ def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=()
     for paired units i, j with psi_i ~ psi_j, E[(v_i - v_j)(v_i - v_j)']/2
     estimates E[Var(v | psi)].
     """
-    draw, x = _oracle_sample(dgp, x_cols, n_oracle, rng)
+    draw, x = _oracle_sample(dgp, estimand, n_oracle, rng)
     n = draw.r.shape[0]
     p = dgp.p
     vard = p * (1.0 - p)
@@ -370,14 +375,13 @@ def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=()
     return out
 
 
-def oracle_limit_sampler(v_theta, gamma0, var_zh, region, draws, rng,
-                         min_acceptance=1e-4):
+def oracle_limit_sampler(v_theta, gamma0, var_zh, region, draws, rng):
     """Sample the limiting law of the scaled estimation error under a
     rerandomized design: an independent Gaussian plus gamma0' z with z a
     Gaussian vector conditioned to fall in the acceptance region.
 
     Rejection sampling; raises EstimationError if the measured acceptance
-    probability falls below ``min_acceptance``.
+    probability falls below 1e-4.
     """
     gen = as_generator(rng)
     v_theta = np.atleast_2d(np.asarray(v_theta, dtype=np.float64))
@@ -403,11 +407,9 @@ def oracle_limit_sampler(v_theta, gamma0, var_zh, region, draws, rng,
         accepted.append(keep)
         got += keep.shape[0]
         proposed += batch
-        if proposed >= 262144 and got / proposed < min_acceptance:
+        if proposed >= 262144 and got / proposed < 1e-4:
             raise EstimationError(
-                f"acceptance probability {got / proposed:.2e} below "
-                f"{min_acceptance:.0e}; widen the region"
-            )
+                f"acceptance probability {got / proposed:.2e} below 1e-04; widen the region")
     z_acc = np.vstack(accepted)[:draws]
     gauss = gen.standard_normal((draws, d_theta)) @ root_v.T
     return gauss + z_acc @ gamma0
@@ -425,7 +427,8 @@ class MonteCarloResult:
     seed: int
     workers: int
     meta: dict = field(default_factory=dict)
-    errors: dict | None = None
+    # design name -> estimator -> each surviving replicate's estimate minus its finite target
+    errors: dict = field(default_factory=dict)
 
     CSV_COLUMNS = ("model", "dim", "n", "design", "estimator", "mse_ratio",
                    "cover_pop", "cover_fin", "width_pop", "width_fin", "mean_draws")
@@ -449,14 +452,13 @@ _FIELDS = ("unadjusted", "adjusted", "target_fin", "target_pop", "cover_fin", "c
            "width_fin", "width_pop", "draws", "exhausted")
 
 
-def _one_replicate(dgp, designs, estimand, x_cols, contrast, ci_alpha, seed, theta0, rep):
+def _one_replicate(dgp, designs, estimand, ci_alpha, seed, theta0, rep):
     data = generate_dgp(dgp, RngSpec(seed).substream(1, rep, 0))
-    x = None
-    if estimand in ("cate", "clate") or x_cols:
-        x = np.column_stack([np.ones(dgp.n), data.r[:, list(x_cols or ())]])
+    x = _regressors(estimand, data.r)
     theta_n = finite_pop_estimand(data, estimand, dgp.p, x=x)
     spec = estimand_by_name(estimand)
-    c_vec = np.asarray(contrast, dtype=np.float64)
+    # the reported coordinate: the slope for cate/clate, the only one otherwise
+    c_vec = np.eye(theta0.size)[-1]
     target_n = float(c_vec @ theta_n)
     target_0 = float(c_vec @ theta0)
     record = np.empty((len(designs), len(_FIELDS)))
@@ -490,9 +492,8 @@ def _worker(common, reps):
     return results
 
 
-def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None,
-                    contrast=None, ci_alpha=0.05, threads=1, theta0=None,
-                    keep_errors=False, n_oracle=1_000_000, max_failure_share=0.01):
+def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", ci_alpha=0.05,
+                    threads=1, theta0=None, n_oracle=1_000_000, max_failure_share=0.01):
     """Replicate the full pipeline R times and aggregate MSE (normalized so
     the unadjusted estimator under the complete-randomization design is 1),
     coverage of both targets, interval widths, and draws until acceptance.
@@ -504,31 +505,23 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
         raise ConfigError(f"need at least 100 replicates, got {replicates}")
     if threads < 1:
         raise ConfigError(f"threads must be at least 1, got {threads}")
-    if isinstance(seed, RngSpec):
-        seed = seed.seed
     seed = int(seed)
     names = [d.name for d in designs]
     if len(set(names)) != len(names):
         raise ConfigError("design names must be unique")
 
     check_estimand(estimand, dgp)
-    if estimand in ("cate", "clate") and x_cols is None:
-        x_cols = (0,)
     if theta0 is None:
         # the population target alone: the oracle's variances go unused here
-        draw, x = _oracle_sample(dgp, x_cols if estimand in ("cate", "clate") else None,
-                                 n_oracle, RngSpec(seed).substream(0, 0))
+        draw, x = _oracle_sample(dgp, estimand, n_oracle, RngSpec(seed).substream(0, 0))
         theta0 = finite_pop_estimand(draw, estimand, dgp.p, x=x)
         del draw, x  # the large sample must not outlive the oracle
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
-    if contrast is None:
-        contrast = np.eye(theta0.size)[theta0.size - 1 if estimand in ("cate", "clate") else 0]
 
     # replicates are seeded by index, so sorting by it makes the aggregate
     # (every float included) independent of the worker count
     workers = min(threads, replicates)
-    common = (dgp, tuple(designs), estimand, x_cols, tuple(np.asarray(contrast)),
-              ci_alpha, seed, theta0)
+    common = (dgp, tuple(designs), estimand, ci_alpha, seed, theta0)
     chunks = [range(i, replicates, workers) for i in range(workers)]
     if workers > 1:
         # forked workers share this process's imports: load the matcher's
@@ -576,15 +569,12 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
             # dispersion), as published design comparisons normalize it
             err = col[est_name] - col["target_fin"]
             err0 = col[est_name] - col["target_pop"]
-            if keep_errors:
-                errors.setdefault(design.name, {})[est_name] = err
+            errors.setdefault(design.name, {})[est_name] = err
             rows.append({
                 "model": dgp.model, "dim": dgp.dim_r, "n": dgp.n,
                 "design": design.name, "estimator": est_name,
                 "mse": float(np.mean(err0 ** 2)),
-                "mse_se": float(np.std(err0 ** 2) / math.sqrt(len(err0))),
                 "mse_fin": float(np.mean(err ** 2)),
-                "mse_fin_se": float(np.std(err ** 2) / math.sqrt(len(err))),
                 "mse_ratio": None,
                 "mse_fin_ratio": None,
                 **shared,
@@ -601,5 +591,5 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", x_cols=None
         meta={"estimand": estimand, "theta0": theta0.tolist(),
               "failed_reps": [rep for rep, _ in failures],
               "failure_reasons": reasons},
-        errors=errors if keep_errors else None,
+        errors=errors,
     )

@@ -40,6 +40,14 @@ class MatchConfig:
                 raise ConfigError("psi_weights must be a vector of strictly positive reals")
             object.__setattr__(self, "psi_weights", w)
 
+    def check_dim(self, d):
+        """Refuse d psi columns where the weights or the method cannot take
+        them. match_k_tuples runs it, and so does a design spec's reader."""
+        if self.psi_weights is not None and self.psi_weights.shape[0] != d:
+            raise ConfigError("psi_weights length must match psi columns")
+        if self.method == "sorted-1d" and d != 1:
+            raise ConfigError("sorted-1d matching requires a single psi column")
+
 
 def _ranked(points, rows, idx, bound, alive):
     """Sort each row's candidates idx by (exact squared distance, index),
@@ -234,15 +242,10 @@ def match_k_tuples(psi, cfg, rng=None):
     n, d = psi.shape
     if n % cfg.k != 0:
         raise ConfigError(f"n={n} is not divisible by group size k={cfg.k}")
-    work = psi
-    if cfg.psi_weights is not None:
-        if cfg.psi_weights.shape[0] != d:
-            raise ConfigError("psi_weights length must match psi columns")
-        work = psi * cfg.psi_weights[None, :]
+    cfg.check_dim(d)
+    work = psi if cfg.psi_weights is None else psi * cfg.psi_weights[None, :]
 
     if cfg.method == "sorted-1d":
-        if d != 1:
-            raise ConfigError("sorted-1d matching requires a single psi column")
         order = np.argsort(work[:, 0], kind="stable")
         groups = order.reshape(-1, cfg.k)
     elif cfg.method == "greedy-nn":

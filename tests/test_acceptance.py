@@ -67,8 +67,7 @@ def sr_large_run():
     """SR at n=1000, R=2000, with per-replicate errors and plug-in oracle."""
     dgp = DgpSpec(model=2, dim_r=5, n=1000)
     designs = [d for d in benchmark_designs(2, 5) if d.name in ("C", "SR")]
-    res = run_monte_carlo(designs, dgp, replicates=2000, seed=SEED + 10,
-                          threads=2, keep_errors=True)
+    res = run_monte_carlo(designs, dgp, replicates=2000, seed=SEED + 10, threads=2)
     oracle = population_variances(
         dgp, estimand="sate", psi_cols=(0,), h_cols=range(1, 5),
         w_cols=range(1, 5), n_oracle=1_000_000, rng=RngSpec(SEED + 11),

@@ -333,15 +333,54 @@ def test_simulate_builds_only_the_requested_designs(tmp_path):
     ("estimate", {"estimand": "foo"}, [], "unknown estimand 'foo'; expected one of"),
     ("estimate", {"max_draws": "x"}, [], "manifest spec: max_draws must be an integer, got 'x'"),
     ("estimate", {"roles": {"baseline": "zeta"}}, [], "unknown role 'zeta' for column 'baseline'"),
+    ("assign", {"match": {"weights": [1.0, 2.0]}}, [], "psi_weights length must match psi columns"),
+    ("calibrate", {"roles": {"baseline": "psi", "xa": ["psi", "h"], "xb": "h"},
+                   "match": {"method": "sorted-1d"}}, [],
+     "sorted-1d matching requires a single psi column"),
+    ("assign", {"region": {"shape": "ball", "dim": 3, "eps": 1.0}}, [],
+     "region built for 3 balance covariates, got 2"),
+    ("assign", {"region": {"shape": "polar", "gamma_bar": [0.5], "U": [[1.0]], "eps": 1.0}}, [],
+     "region built for 1 balance covariates, got 2"),
+    ("calibrate", {"region": {"shape": "rectangle-polar", "a": [0, 0, 0], "b": [1, 1, 1],
+                              "eps": 1.0}}, [], "region built for 3 balance covariates, got 2"),
+    ("assign", {"region": {"shape": "pilot-wald", "gamma_pilot": [0.5], "sigma_pilot": [[1.0]],
+                           "m": 50, "alpha": 0.1, "eps": 1.0}}, [],
+     "region built for 1 balance covariates, got 2"),
+    ("assign", {"roles": {"baseline": "psi", "xa": "w", "xb": "w"},
+                "region": {"shape": "mahalanobis", "alpha": 0.1}}, [],
+     "quadratic region needs balance covariates (d_h = 0)"),
+    ("calibrate", {"roles": {"baseline": "psi", "xa": "w"},
+                   "region": {"shape": "propensity", "eps2": 0.5}}, [],
+     "propensity region needs balance covariates (d_h = 0)"),
+    ("assign", {"region": {"shape": "propensity", "eps2": 0.5, "link": "probit"}}, [],
+     "unsupported link 'probit'"),
+    ("assign", {"region": {"shape": "polar", "gamma_bar": "x", "U": [[1]], "eps": 1.0}}, [],
+     "region 'polar': gamma_bar must be a number or a rectangular list of numbers, got 'x'"),
+    ("assign", {"region": {"shape": "polar", "gamma_bar": [0, 0], "U": [[1, 0], [0]],
+                           "eps": 1.0}}, [], "region 'polar': U must be a number or a rectangular"),
+    ("calibrate", {"region": {"shape": "rectangle-polar", "a": ["x", 1], "b": [1, 2],
+                              "eps": 1.0}}, [], "region 'rectangle-polar': a must be a number or"),
+    ("assign", {"region": {"shape": "pilot-wald", "gamma_pilot": None, "sigma_pilot": [[1.0]],
+                           "m": 50, "alpha": 0.1, "eps": 1.0}}, [],
+     "region 'pilot-wald': gamma_pilot must be a number or a rectangular list of numbers, "
+     "got None"),
+    ("assign", {"region": {"shape": "pilot-wald", "gamma_pilot": [0, 0], "m": 50,
+                           "sigma_pilot": [[True, 0], [0, 1]], "alpha": 0.1, "eps": 1.0}}, [],
+     "region 'pilot-wald': sigma_pilot must be a number or a rectangular list of numbers"),
 ], ids=["max_draws-0", "max_draws-fraction", "seed-negative", "estimand-unknown", "estimand-list",
         "l-equals-k", "roles-list", "role-unknown", "method-unknown", "weights-string",
         "weights-negative", "region-shape", "region-number", "pilot-wald-alpha",
         "calibrate-alpha", "calibrate-draws", "calibrate-no-region", "manifest-alpha",
-        "manifest-estimand", "manifest-max_draws", "manifest-role"])
+        "manifest-estimand", "manifest-max_draws", "manifest-role", "weights-length",
+        "sorted-1d-two-psi", "ball-dim", "polar-dim", "rectangle-dim", "pilot-wald-dim",
+        "mahalanobis-no-h", "propensity-no-h", "link", "array-string", "array-ragged",
+        "array-string-entry", "array-null", "array-bool"])
 def test_spec_and_argument_refusals_come_before_the_covariates_are_read(
         workspace, capsys, monkeypatch, command, edit, flags, message):
     # each was refused only after the covariate file was read and its units
-    # matched, or (an unknown assign estimand, a bad manifest max_draws) not at all
+    # matched, or (an unknown assign estimand, a bad manifest max_draws, a null
+    # or bool region array entry) not at all, or (a string or ragged region
+    # array) with a traceback
     tmp_path, cov, spec_path, _ = workspace
     spec = dict(json.loads(spec_path.read_text()), region={"shape": "ball", "dim": 2, "eps": 1.0})
     out = tmp_path / "out.json"
@@ -370,6 +409,22 @@ def test_spec_and_argument_refusals_come_before_the_covariates_are_read(
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("command", ["assign", "calibrate", "simulate"])
+def test_a_negative_seed_flag_is_refused_before_any_file_is_read(tmp_path, capsys, command):
+    # np.random.SeedSequence raised ValueError (a traceback, exit 1) once the
+    # data had been read; none of these files exists
+    argv = [command, "--spec", str(tmp_path / "spec.json"), "--out", str(tmp_path / "out"),
+            "--seed", "-1"]
+    if command != "simulate":
+        argv += ["--data", str(tmp_path / "cov.csv")]
+    if command == "calibrate":
+        argv += ["--alpha", "0.1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
 
 
 def test_readme_key_tables_list_every_spec_key():

@@ -218,6 +218,18 @@ def test_run_monte_carlo_threads_match_serial(threads):
     assert (r1.workers, r2.workers) == (1, threads)
 
 
+def test_run_monte_carlo_cate_reports_the_slope_whatever_the_workers():
+    # the cate run regresses the effect on an intercept and the first
+    # covariate; Model 2's effect is 4 r_0 plus noise, so theta0 = (0, 4)
+    dgp = DgpSpec(model=2, dim_r=3, n=60)
+    designs = benchmark_designs(2, 3)
+    runs = [run_monte_carlo(designs, dgp, replicates=100, seed=7, estimand="cate",
+                            threads=threads, n_oracle=200_000) for threads in (1, 2)]
+    assert runs[0].rows == runs[1].rows
+    assert runs[0].meta == runs[1].meta
+    np.testing.assert_allclose(runs[0].meta["theta0"], [0.0, 4.0], atol=0.02)
+
+
 def test_run_monte_carlo_requires_replicates():
     dgp = DgpSpec(model=1, dim_r=2, n=40)
     with pytest.raises(ConfigError, match="100 replicates"):
