@@ -82,9 +82,10 @@ Design = namedtuple("Design", "spec roles seed estimand alpha max_draws match re
 Simulation = namedtuple("Simulation", "spec dgp designs estimand replicates seed threads ci_alpha")
 
 
-def _read_design(spec, what, seed=None, layers=True):
-    """Check a design spec before any data is read. With ``layers``, build its match config
-    and region; estimate uses neither, and does not load the layers that build them."""
+def _read_design(spec, what, seed=None, layers=True, estimand=None):
+    """Check a design spec before any data is read; ``seed`` and ``estimand`` are flags that
+    override the spec's. With ``layers``, build its match config and region; estimate uses
+    neither, and does not load the layers that build them."""
     from .gmm import estimand_by_name
 
     check_keys(spec, _DESIGN_KEYS, what, _DESIGN_REQUIRED)
@@ -95,8 +96,11 @@ def _read_design(spec, what, seed=None, layers=True):
     seed = spec_number(spec, "seed", what, 0, int, low=0) if seed is None else seed
     alpha = unit_interval(spec_number(spec, "alpha", what, 0.05), f"{what}: alpha")
     max_draws = spec_number(spec, "max_draws", what, 10000, int, low=1)
-    estimand = spec.get("estimand", "sate")
-    estimand_by_name(estimand)
+    estimand_by_name(spec.get("estimand", "sate"))
+    estimand = estimand or spec.get("estimand", "sate")
+    if estimand in ("cate", "clate") and not roles["x"]:
+        raise ConfigError(f"{what}: estimand {estimand!r} needs heterogeneity regressors, "
+                          "and no column has the 'x' role")
     cfg = region = None
     if layers:
         from .rerandomize import region_from_dict
@@ -169,24 +173,39 @@ def _read_outcomes(path, ids):
     return data[rows, 0], (data[rows, 1] if data.shape[1] == 2 else None)
 
 
+def _read_manifest(path, estimand):
+    """Check a design manifest, its spec (with the ``estimand`` flag) and its partition
+    against each other, before any data is read."""
+    manifest = _load_json(path, "design manifest")
+    check_keys(manifest, _MANIFEST_KEYS, "design manifest", _MANIFEST_REQUIRED)
+    design = _read_design(manifest["spec"], "manifest spec", layers=False, estimand=estimand)
+    partition = GroupPartition.from_json_dict(manifest["partition"])
+    k, l = manifest["spec"]["k"], manifest["spec"]["l"]
+    # with no psi column the design is one group of all n units, treating n * l / k
+    if role_columns(design.roles)[0]["psi"]:
+        agrees = (partition.k, partition.l) == (k, l)
+    else:
+        agrees = partition.n_groups == 1 and partition.l * k == partition.k * l
+    if not agrees:
+        raise ConfigError(f"manifest spec has k={k}, l={l}, but its partition has "
+                          f"{partition.n_groups} groups of k={partition.k}, l={partition.l}")
+    return manifest, design, partition
+
+
 def cmd_estimate(args):
     from .adjust import two_step_adjust
     from .gmm import estimand_by_name
     from .inference import confidence_intervals, variance_components
 
-    manifest = _load_json(args.manifest, "design manifest")
-    check_keys(manifest, _MANIFEST_KEYS, "design manifest", _MANIFEST_REQUIRED)
-    design = _read_design(manifest["spec"], "manifest spec", layers=False)
-    estimand = args.estimand or design.estimand
+    manifest, design, partition = _read_manifest(args.manifest, args.estimand)
     if _sha256(args.data) != manifest["covariates_sha256"]:
         raise ConfigError(
             "covariate file does not match the manifest (hash mismatch); "
             "estimation must run on the exact file used for assignment"
         )
     table = load_covariates(args.data, design.roles)
-    partition = GroupPartition.from_json_dict(manifest["partition"])
     y, d_endog = _read_outcomes(args.outcomes, table.ids)
-    est_spec = estimand_by_name(estimand)
+    est_spec = estimand_by_name(design.estimand)
     if partition.n != table.n:
         raise ConfigError(f"manifest partition covers {partition.n} units, "
                           f"the covariates {table.n}")
@@ -202,7 +221,7 @@ def cmd_estimate(args):
     comp = variance_components(frame, partition, adj, fit, spec=est_spec)
     report = confidence_intervals(
         fit, adj, comp,
-        flags={"estimand": estimand, "collapsed_strata": comp.used_collapsed,
+        flags={"estimand": design.estimand, "collapsed_strata": comp.used_collapsed,
                "draws_to_accept": manifest.get("draws_to_accept"),
                "accepted": manifest.get("accepted", True)},
         alpha=design.alpha,

@@ -162,24 +162,26 @@ def spec_number(doc, key, what, default=None, kind=float, low=None):
     raise ConfigError(f"{what}: {key} must be {noun}, got {value!r}")
 
 
-def spec_array(doc, key, what):
-    """doc[key] as a float64 array: a number, or a list (nested to any depth)
-    of numbers. A bool, a string or null anywhere in it, or a ragged list, is
-    refused naming the key, as spec_number refuses a scalar."""
+def spec_array(doc, key, what, kind=float):
+    """doc[key] as a float64 array (an intp one for ``kind`` int): a number,
+    or a list (nested to any depth) of numbers. A bool, a string or null
+    anywhere in it, a ragged list or, for an int, a number with a fractional
+    part is refused naming the key, as spec_number refuses a scalar."""
     value = doc.get(key)
-
-    def numbers(v):
-        if isinstance(v, list):
-            return all(numbers(e) for e in v)
-        return isinstance(v, (int, float)) and type(v) is not bool
-
     try:
-        if numbers(value):
-            return np.array(value, dtype=np.float64)
-    except ValueError:  # a ragged list
+        cells = np.array(value, dtype=object)  # the rows of a ragged list stay lists
+        if all(issubclass(t, (int, float)) and t is not bool
+               for t in set(map(type, cells.ravel().tolist()))):
+            out = cells.astype(np.float64)
+            if kind is float:
+                return out
+            if (out == np.floor(out)).all():  # an infinity then overflows the intp
+                return cells.astype(np.intp)
+    except (ValueError, OverflowError):  # ragged below the top level, or past the dtype
         pass
-    raise ConfigError(f"{what}: {key} must be a number or a rectangular list of numbers, "
-                      f"got {value!r}")
+    noun = ("a number or a rectangular list of numbers" if kind is float
+            else "an integer or a rectangular list of integers")
+    raise ConfigError(f"{what}: {key} must be {noun}, got {value!r}")
 
 
 def unit_interval(value, name):
@@ -407,11 +409,11 @@ class GroupPartition:
         check_keys(d, {"groups", "k", "l", "homogeneity", "pairing", "pairing_stat"},
                    "partition", ("groups", "k", "l"))
         return cls(
-            groups=np.asarray(d["groups"], dtype=np.intp),
-            k=int(d["k"]),
-            l=int(d["l"]),
+            groups=spec_array(d, "groups", "partition", int),
+            k=spec_number(d, "k", "partition", kind=int),
+            l=spec_number(d, "l", "partition", kind=int),
             homogeneity=d.get("homogeneity"),
-            pairing=None if d.get("pairing") is None else np.asarray(d["pairing"], dtype=np.intp),
+            pairing=None if d.get("pairing") is None else spec_array(d, "pairing", "partition", int),
             pairing_stat=d.get("pairing_stat"),
         )
 

@@ -524,12 +524,8 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", ci_alpha=0.
     common = (dgp, tuple(designs), estimand, ci_alpha, seed, theta0)
     chunks = [range(i, replicates, workers) for i in range(workers)]
     if workers > 1:
-        # forked workers share this process's imports: load the matcher's
-        # k-d tree module (and the scipy.special it imports) once here, not
-        # once in every worker. The pool itself loads only here
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ProcessPoolExecutor  # loads only here
 
-        import scipy.spatial  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_worker, [common] * workers, chunks))
     else:

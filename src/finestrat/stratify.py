@@ -17,6 +17,11 @@ import numpy as np
 from .core import ConfigError, GroupPartition, as_generator, as_matrix
 
 _METHODS = ("greedy-nn", "sorted-1d", "random-within-cell")
+# the most points in two or more columns that _greedy_groups scans a distance
+# table for (at most 0.8 MB); more go to a k-d tree. Up to here a scan takes
+# 0.7-1.05 times the tree's time per call in 2-5 columns, and needs no SciPy
+# (about 0.3 s to load); at 384 points it takes 1.04-1.18 times, at 512 1.26-1.33
+_SCAN_MAX_POINTS = 320
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,9 @@ class _TreeSource:
         self.rebuild()
 
     def rebuild(self):
-        # imported here: scipy.spatial, which loads scipy.special, adds about
-        # 0.3 s to a command's start-up
+        # imported here, for more than _SCAN_MAX_POINTS points in two or more
+        # columns: scipy.spatial, which loads scipy.special, adds about 0.3 s
+        # to a command (or a simulate run) that loads it
         from scipy.spatial import cKDTree
 
         self.where = np.flatnonzero(self.alive)
@@ -99,6 +105,44 @@ class _TreeSource:
         r = dist[-1] * (1.0 + 1e-9)
         idx = self.tree.query_ball_point(self.points[i], r)
         return self.where[None, idx], max(r * r * (1.0 - 1e-12), np.nextafter(0.0, 1.0))
+
+
+class _ScanSource:
+    """Candidates from one table of every exact squared distance, added
+    column by column as `_ranked` adds them, so each bound is exact. For few
+    points a scan of the table costs about what a k-d tree's queries do, and
+    needs no SciPy; the table is n * n * 8 bytes."""
+
+    def __init__(self, points, alive):
+        self.alive, cols = alive, points.T.copy()
+        self.table = np.subtract.outer(cols[0], cols[0])
+        np.square(self.table, out=self.table)
+        step = np.empty_like(self.table)
+        for c in cols[1:]:
+            self.table += np.square(np.subtract.outer(c, c, out=step), out=step)
+        self.rebuild()
+
+    def rebuild(self):
+        self.where = np.flatnonzero(self.alive)
+
+    def near(self, rows, K):
+        """Each row's K nearest points, and its bound: the (K+1)-th distance."""
+        m = self.where.size
+        if K >= m:
+            return np.broadcast_to(self.where, (rows.size, m)), np.inf
+        # before the first match every point is listed in order: scan the table in place
+        whole = m == len(self.table) and np.array_equal(rows, self.where)
+        sub = self.table if whole else self.table[np.ix_(rows, self.where)]
+        part = np.argpartition(sub, K, axis=1)
+        return self.where[part[:, :K]], np.take_along_axis(sub, part[:, K:K + 1], axis=1)
+
+    def around(self, i, K):
+        """Every point at or below point i's K-th distance, and the bound."""
+        row = self.table[i, self.where]
+        if K >= row.size:
+            return self.where[None, :], np.inf
+        r = np.partition(row, K - 1)[K - 1]
+        return self.where[None, row <= r], np.nextafter(r, np.inf)
 
 
 class _SortSource:
@@ -146,11 +190,13 @@ def _greedy_groups(points, k):
     neighbour and group it with its k-1 nearest unmatched neighbours, by
     exact squared distance. Distance ties break toward the lowest index.
 
-    Each point keeps its nearest points in `_ranked` order, from a k-d tree
-    or, in one column, from the sort order, and a pointer to the first
-    unmatched one. Only points whose nearest neighbour was just matched move
-    their pointer; one that runs off its list asks the source again, which
-    is rebuilt over the unmatched points each time their count halves."""
+    Each point keeps its nearest points in `_ranked` order, and a pointer to
+    the first unmatched one. They come from the sort order in one column,
+    from a table of every distance for at most _SCAN_MAX_POINTS points, and
+    from a k-d tree beyond, which alone loads SciPy. Only points whose
+    nearest neighbour was just matched move their pointer; one that runs
+    off its list asks the source again, which is rebuilt over the unmatched
+    points each time their count halves."""
     n = points.shape[0]
     if n <= k:
         return np.arange(n, dtype=np.intp).reshape(-1, k)
@@ -158,7 +204,8 @@ def _greedy_groups(points, k):
         points = np.zeros((n, 1))  # no columns: every distance is 0
     alive = bytearray(b"\x01") * n
     alive_np = np.frombuffer(alive, dtype=np.uint8)
-    source = (_SortSource if points.shape[1] == 1 else _TreeSource)(points, alive_np)
+    source = (_SortSource if points.shape[1] == 1 else
+              _ScanSource if n <= _SCAN_MAX_POINTS else _TreeSource)(points, alive_np)
     rows = np.arange(n)
     cand, cdist = _ranked(points, rows, *source.near(rows, k + 4), alive_np)
 

@@ -367,6 +367,10 @@ def test_simulate_builds_only_the_requested_designs(tmp_path):
     ("assign", {"region": {"shape": "pilot-wald", "gamma_pilot": [0, 0], "m": 50,
                            "sigma_pilot": [[True, 0], [0, 1]], "alpha": 0.1, "eps": 1.0}}, [],
      "region 'pilot-wald': sigma_pilot must be a number or a rectangular list of numbers"),
+    ("estimate", {"estimand": "cate"}, [],
+     "manifest spec: estimand 'cate' needs heterogeneity regressors, and no column has the 'x' role"),
+    ("estimate", {"k": 4, "l": 2}, [],
+     "manifest spec has k=4, l=2, but its partition has 50 groups of k=2, l=1"),
 ], ids=["max_draws-0", "max_draws-fraction", "seed-negative", "estimand-unknown", "estimand-list",
         "l-equals-k", "roles-list", "role-unknown", "method-unknown", "weights-string",
         "weights-negative", "region-shape", "region-number", "pilot-wald-alpha",
@@ -374,7 +378,8 @@ def test_simulate_builds_only_the_requested_designs(tmp_path):
         "manifest-estimand", "manifest-max_draws", "manifest-role", "weights-length",
         "sorted-1d-two-psi", "ball-dim", "polar-dim", "rectangle-dim", "pilot-wald-dim",
         "mahalanobis-no-h", "propensity-no-h", "link", "array-string", "array-ragged",
-        "array-string-entry", "array-null", "array-bool"])
+        "array-string-entry", "array-null", "array-bool", "manifest-cate-without-x",
+        "manifest-k-l-off-the-partition"])
 def test_spec_and_argument_refusals_come_before_the_covariates_are_read(
         workspace, capsys, monkeypatch, command, edit, flags, message):
     # each was refused only after the covariate file was read and its units
@@ -409,6 +414,29 @@ def test_spec_and_argument_refusals_come_before_the_covariates_are_read(
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("estimand", ["cate", "clate"])
+def test_an_estimand_flag_without_x_roles_is_refused_before_the_covariates_are_read(
+        workspace, capsys, monkeypatch, estimand):
+    # newton_root's first residual failed on the empty regressor matrix, a
+    # traceback after both files had been read
+    tmp_path, cov, spec_path, _ = workspace
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(tmp_path / "assign.csv")]) == 0
+
+    def unread(*args):
+        raise AssertionError("the covariate file was read before the estimand was checked")
+
+    monkeypatch.setattr("finestrat.cli.load_covariates", unread)
+    monkeypatch.setattr("finestrat.cli._sha256", unread)
+    capsys.readouterr()
+    assert main(["estimate", "--manifest", str(tmp_path / "assign.csv.manifest.json"),
+                 "--data", str(cov), "--outcomes", str(tmp_path / "y.csv"),
+                 "--out", str(tmp_path / "report.json"), "--estimand", estimand]) == 2
+    assert (f"manifest spec: estimand {estimand!r} needs heterogeneity regressors"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["assign", "calibrate", "simulate"])
@@ -761,6 +789,15 @@ def _set_first_treated(value):
     return lambda manifest: manifest["d"].__setitem__(manifest["d"].index(1), value)
 
 
+def _add_to_first(key, step):
+    """Add ``step`` to the first number of the manifest partition's ``key``."""
+    def edit(manifest):
+        row = manifest["partition"][key]
+        row = row[0] if isinstance(row[0], list) else row
+        row[0] += step
+    return edit
+
+
 @pytest.mark.parametrize("target,edit,message", [
     ("manifest", _drop("d"), "design manifest is missing required key 'd'"),
     ("manifest", _drop("partition"), "missing required key 'partition'"),
@@ -775,12 +812,20 @@ def _set_first_treated(value):
     ("manifest", lambda m: m.update(partition={"k": 2, "l": 1, "groups": [[0, 1], [2, 3]],
                                                "pairing": [1, 0]}),
      "manifest partition covers 4 units, the covariates 20"),
+    # each was truncated to an integer, and estimate wrote a report
+    ("manifest", lambda m: m["partition"].update(k=2.5), "partition: k must be an integer, got 2.5"),
+    ("manifest", lambda m: m["partition"].update(l=True), "partition: l must be an integer, got True"),
+    ("manifest", _add_to_first("groups", 0.4),
+     "partition: groups must be an integer or a rectangular list of integers"),
+    ("manifest", _add_to_first("pairing", 0.5),
+     "partition: pairing must be an integer or a rectangular list of integers"),
     # an outcomes d of 2.5 used to give a LATE estimate
     ("outcomes", lambda lines: lines.__setitem__(3, lines[3][:-1] + "2.5"), "must be 0 or 1"),
     ("simulation spec", _drop("model"), "simulation spec is missing required key 'model'"),
     ("simulation spec", _drop("n"), "missing required key 'n'"),
 ], ids=["no-d", "no-partition", "no-spec", "no-hash", "no-roles", "no-groups", "short-d",
-        "d-2", "d-half", "extra-key", "partition-n", "outcome-d", "sim-no-model", "sim-no-n"])
+        "d-2", "d-half", "extra-key", "partition-n", "partition-k-fraction", "partition-l-bool",
+        "group-index-fraction", "pairing-fraction", "outcome-d", "sim-no-model", "sim-no-n"])
 def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, message):
     ids = [f"u{i}" for i in range(20)]
     cov, spec_path = _id_workspace(tmp_path, ids)
@@ -924,10 +969,26 @@ def test_sorted_1d_mahalanobis_assign_and_estimate_load_only_their_layers(worksp
     assert np.isfinite(json.loads((tmp_path / "report.json").read_text())["ci_pop"][0]["lo"])
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_model2_simulate_loads_no_scipy(tmp_path, threads):
+    # design S matches 300 units and pairs 150 centroids in 5 columns, each
+    # by a scan of the exact distances, not a k-d tree; acceptance is
+    # decided by the chi-square bracket
+    from importlib import resources
+
+    spec = resources.files("finestrat").joinpath("specs/benchmark-model2-dim5.json")
+    lines, modules = _scipy_after(tmp_path, (
+        "from finestrat.cli import main\n"
+        f"print(main(['simulate', '--spec', {str(spec)!r}, '--out', 'sim.csv',"
+        f" '--replicates', '100', '--seed', '3', '--threads', '{threads}']))"))
+    assert lines[-1] == "0" and modules == []
+
+
 def test_cli_import_loads_neither_scipy_stats_nor_linalg():
     # scipy.stats and scipy.linalg take most of a command's start-up; the
     # quantiles come from scipy.special and scipy.linalg loads on an error
-    # path. scipy.spatial, for the k-d tree, loads only when matching runs
+    # path. scipy.spatial, for the k-d tree, loads only when matching runs on
+    # two or more columns and more points than a distance table is kept for
     code = ("import sys, finestrat.cli; print(sorted(m for m in sys.modules "
             "if m.startswith(('scipy.stats', 'scipy.linalg', 'scipy.spatial'))))")
     assert _python(code, _cli_env()) == "[]"

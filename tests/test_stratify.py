@@ -10,7 +10,8 @@ from finestrat import (
     match_k_tuples,
     pair_groups_by_centroid,
 )
-from finestrat.stratify import _SortSource, _TreeSource
+from finestrat import stratify
+from finestrat.stratify import _ScanSource, _SortSource, _TreeSource
 
 
 def _groups_as_sets(partition):
@@ -210,7 +211,7 @@ def test_greedy_without_columns_groups_by_index(k):
     assert part.homogeneity == 0.0
 
 
-@pytest.mark.parametrize("source", [_SortSource, _TreeSource])
+@pytest.mark.parametrize("source", [_SortSource, _TreeSource, _ScanSource])
 def test_candidate_bounds_hold_every_point_left_out(source):
     # the matcher trusts a candidate list up to its bound: no point of the
     # source (matched since the last rebuild or not) may lie nearer and be
@@ -235,6 +236,25 @@ def test_candidate_bounds_hold_every_point_left_out(source):
         for r, i in enumerate(rows):
             assert_bound(i, idx[r], np.broadcast_to(bound, (rows.size, 1))[r, 0])
             assert_bound(i, *src.around(i, K))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_every_candidate_source_gives_the_same_groups(monkeypatch, k):
+    # n just below and just above the size up to which several columns scan
+    # a distance table; integer grids tie nearly every distance. The sort
+    # order is a source for one column only
+    cut = stratify._SCAN_MAX_POINTS
+    gen = np.random.default_rng(k)
+    for n in (cut // k * k, (cut // k + 1) * k):
+        for psi in (gen.standard_normal((n, 3)), gen.integers(0, 4, size=(n, 2)) * 1.0,
+                    gen.standard_normal((n, 1)), gen.integers(0, 9, size=(n, 1)) * 1.0):
+            dispatched = stratify._greedy_groups(psi, k)
+            sources = [_ScanSource, _TreeSource] + [_SortSource] * (psi.shape[1] == 1)
+            for source in sources:
+                for name in ("_SortSource", "_ScanSource", "_TreeSource"):
+                    monkeypatch.setattr(stratify, name, source)
+                np.testing.assert_array_equal(stratify._greedy_groups(psi, k), dispatched)
+            monkeypatch.undo()
 
 
 def _traced_peak(fn, *args):
