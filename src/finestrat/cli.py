@@ -36,9 +36,11 @@ from .core import (
     LoadError,
     RngSpec,
     check_keys,
+    collapsed_strata,
     load_covariates,
     read_csv,
     role_columns,
+    spec_array,
     spec_number,
     unit_interval,
 )
@@ -173,9 +175,19 @@ def _read_outcomes(path, ids):
     return data[rows, 0], (data[rows, 1] if data.shape[1] == 2 else None)
 
 
-def _read_manifest(path, estimand):
-    """Check a design manifest, its spec (with the ``estimand`` flag) and its partition
-    against each other, before any data is read."""
+def _outcome_columns(path):
+    """The header names of the outcomes file; no row past the header is read."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            return [c.strip() for c in next(csv.reader(fh), [])]
+    except FileNotFoundError:
+        raise LoadError(f"outcomes file not found: {path}") from None
+
+
+def _read_manifest(path, estimand, outcomes):
+    """Check a design manifest, its spec (with the ``estimand`` flag), its partition and its
+    ``d`` against each other, and the outcomes header against the estimand, before any data
+    is read. Returns the manifest, the checked design, partition and d."""
     manifest = _load_json(path, "design manifest")
     check_keys(manifest, _MANIFEST_KEYS, "design manifest", _MANIFEST_REQUIRED)
     design = _read_design(manifest["spec"], "manifest spec", layers=False, estimand=estimand)
@@ -189,7 +201,21 @@ def _read_manifest(path, estimand):
     if not agrees:
         raise ConfigError(f"manifest spec has k={k}, l={l}, but its partition has "
                           f"{partition.n_groups} groups of k={partition.k}, l={partition.l}")
-    return manifest, design, partition
+    collapse = collapsed_strata(partition.n, partition.k, partition.l)
+    if collapse != (partition.pairing is not None):
+        raise ConfigError(
+            f"manifest partition has {'no' if collapse else 'a'} pairing, but its groups of "
+            f"k={partition.k} with l={partition.l} treated need {'' if collapse else 'no '}"
+            "collapsed strata")
+    d = spec_array(manifest, "d", "design manifest")
+    off = np.flatnonzero(~np.isin(d, (0, 1)))
+    if off.size:
+        raise ConfigError(f"manifest d must be binary (0 or 1), got {d.ravel()[off[0]]:g} "
+                          f"at unit {off[0]}")
+    if design.estimand in ("late", "clate") and "d" not in _outcome_columns(outcomes):
+        raise ConfigError(f"estimand {design.estimand!r} needs the realized treatment, and "
+                          "the outcomes file has no 'd' column")
+    return manifest, design, partition, d
 
 
 def cmd_estimate(args):
@@ -197,7 +223,7 @@ def cmd_estimate(args):
     from .gmm import estimand_by_name
     from .inference import confidence_intervals, variance_components
 
-    manifest, design, partition = _read_manifest(args.manifest, args.estimand)
+    manifest, design, partition, d = _read_manifest(args.manifest, args.estimand, args.outcomes)
     if _sha256(args.data) != manifest["covariates_sha256"]:
         raise ConfigError(
             "covariate file does not match the manifest (hash mismatch); "
@@ -209,7 +235,7 @@ def cmd_estimate(args):
     if partition.n != table.n:
         raise ConfigError(f"manifest partition covers {partition.n} units, "
                           f"the covariates {table.n}")
-    frame = ExperimentFrame(covariates=table, d=manifest["d"], p=partition.p, y=y,
+    frame = ExperimentFrame(covariates=table, d=d, p=partition.p, y=y,
                             d_endog=d_endog)
     treated = np.bincount(partition.group_of(), weights=frame.d)
     bad = np.flatnonzero(treated != partition.l)

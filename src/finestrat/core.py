@@ -11,6 +11,7 @@ per-role views.
 from __future__ import annotations
 
 import csv
+import reprlib
 from contextlib import nullcontext
 from dataclasses import dataclass
 
@@ -166,7 +167,8 @@ def spec_array(doc, key, what, kind=float):
     """doc[key] as a float64 array (an intp one for ``kind`` int): a number,
     or a list (nested to any depth) of numbers. A bool, a string or null
     anywhere in it, a ragged list or, for an int, a number with a fractional
-    part is refused naming the key, as spec_number refuses a scalar."""
+    part is refused naming the key, as spec_number refuses a scalar. The
+    message shows the value abridged, as a manifest array has n entries."""
     value = doc.get(key)
     try:
         cells = np.array(value, dtype=object)  # the rows of a ragged list stay lists
@@ -181,7 +183,7 @@ def spec_array(doc, key, what, kind=float):
         pass
     noun = ("a number or a rectangular list of numbers" if kind is float
             else "an integer or a rectangular list of integers")
-    raise ConfigError(f"{what}: {key} must be {noun}, got {value!r}")
+    raise ConfigError(f"{what}: {key} must be {noun}, got {reprlib.repr(value)}")
 
 
 def unit_interval(value, name):
@@ -326,6 +328,18 @@ def write_covariates(table, path_or_fh):
         writer.writerow(["id"] + [name for name, _ in cols])
         for i in range(table.n):
             writer.writerow([table.ids[i]] + [repr(float(v[i])) for _, v in cols])
+
+
+def collapsed_strata(n, k, l):
+    """Whether n units in matched groups of k, l treated in each, are paired
+    into collapsed strata: groups with a single treated or a single control
+    unit need them for their variance bounds. An odd group count, which
+    cannot be paired, is refused."""
+    collapse = min(l, k - l) < 2
+    if collapse and n % (2 * k) == k:
+        raise ConfigError(f"n={n} in groups of k={k} gives an odd number of groups "
+                          f"({n // k}), which cannot be paired into collapsed strata")
+    return collapse
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .core import (
     ExperimentFrame,
     RngSpec,
     as_generator,
+    collapsed_strata,
     cov_n,
     psd_root,
 )
@@ -33,7 +34,7 @@ from .gmm import estimand_by_name
 from .inference import confidence_intervals, variance_components
 from .randomize import draw_complete, draw_stratified
 from .rerandomize import AcceptanceRegion, FullSpaceRegion, MahalanobisRegion, rerandomize
-from .stratify import MatchConfig, collapsed_strata, design_partition
+from .stratify import MatchConfig, design_partition
 
 
 @dataclass(frozen=True)
@@ -105,6 +106,48 @@ def _model_coefficients(model, m):
     return b1, b0, quad1
 
 
+def _covariance(dgp):
+    """The covariates' covariance: the identity, or unit variances with
+    correlation 0.5 / (m - 1) between every two of the m columns."""
+    m = dgp.dim_r
+    if dgp.covariance == "identity":
+        return np.eye(m)
+    sigma = np.full((m, m), 0.5 / (m - 1))
+    np.fill_diagonal(sigma, 1.0)
+    return sigma
+
+
+def population_target(dgp, estimand):
+    """The superpopulation target theta0 of ``estimand`` under ``dgp``, in
+    closed form: E[tau] for sate/late, and the coefficients of tau on
+    (1, r_0) for cate/clate.
+
+    With r ~ N(0, Sigma), E[tau] = sum_j quad1_j Sigma_jj, as the linear and
+    arctan parts are odd in r. As E[r_0] = 0, the cate slope is
+    E[r_0 tau] / Sigma_00 = (Sigma g)_0 / Sigma_00. For models 1-3,
+    g = b1 - b0 (odd Gaussian moments vanish). For model 4, Stein's lemma,
+    E[r f(r'b)] = Sigma b E[f'(r'b)], gives g = 2 b1 e(s1) - 2 b0 e(s0), where
+    s^2 = b'Sigma b and e(s) = E[1 / (1 + s^2 Z^2)] for a standard normal Z.
+    Compliance is drawn apart from everything else, so late and clate equal
+    sate and cate.
+    """
+    sigma = _covariance(dgp)
+    b1, b0, quad1 = _model_coefficients(dgp.model, dgp.dim_r)
+    mean = 0.0 if quad1 is None else float(quad1 @ np.diag(sigma))
+    if estimand in ("sate", "late"):
+        return np.array([mean])
+    if estimand not in ("cate", "clate"):
+        raise ConfigError(f"unknown estimand {estimand!r}")
+    g = b1 - b0
+    if dgp.model == 4:
+        def stein(b):  # 2 b E[f'(r'b)] for f = 2 arctan
+            s = math.sqrt(b @ sigma @ b)
+            return 2.0 * b * (math.sqrt(math.pi / 2.0) / s * math.exp(0.5 / s ** 2)
+                              * math.erfc(1.0 / (math.sqrt(2.0) * s)))
+        g = stein(b1) - stein(b0)
+    return np.array([mean, (sigma @ g)[0] / sigma[0, 0]])
+
+
 def generate_dgp(spec, rng):
     """Draw covariates, correlated arm noises, and both potential outcomes
     (plus potential treatments when a compliance rate is set)."""
@@ -112,10 +155,7 @@ def generate_dgp(spec, rng):
     n, m = spec.n, spec.dim_r
     r = gen.standard_normal((n, m))
     if spec.covariance == "equicorrelated":
-        rho = 0.5 / (m - 1)
-        sigma = np.full((m, m), rho)
-        np.fill_diagonal(sigma, 1.0)
-        r = r @ np.linalg.cholesky(sigma).T
+        r = r @ np.linalg.cholesky(_covariance(spec)).T
     cov_e = spec.resid_var * np.array([[1.0, spec.resid_corr], [spec.resid_corr, 1.0]])
     e = gen.standard_normal((n, 2)) @ psd_root(cov_e).T
     b1, b0, quad1 = _model_coefficients(spec.model, m)
@@ -319,13 +359,6 @@ def _regressors(estimand, r):
     return None
 
 
-def _oracle_sample(dgp, estimand, n_oracle, rng):
-    """A large synthetic draw (an even number of units near ``n_oracle``)
-    and the estimand's regressors on it."""
-    draw = generate_dgp(replace(dgp, n=int(n_oracle) + (int(n_oracle) % 2)), rng)
-    return draw, _regressors(estimand, draw.r)
-
-
 def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=(),
                          psi_weights=None, n_oracle=1_000_000, rng=0):
     """Plug-in limiting-distribution parameters on a large synthetic sample.
@@ -335,7 +368,9 @@ def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=()
     for paired units i, j with psi_i ~ psi_j, E[(v_i - v_j)(v_i - v_j)']/2
     estimates E[Var(v | psi)].
     """
-    draw, x = _oracle_sample(dgp, estimand, n_oracle, rng)
+    # an even number of units near n_oracle
+    draw = generate_dgp(replace(dgp, n=int(n_oracle) + (int(n_oracle) % 2)), rng)
+    x = _regressors(estimand, draw.r)
     n = draw.r.shape[0]
     p = dgp.p
     vard = p * (1.0 - p)
@@ -493,10 +528,13 @@ def _worker(common, reps):
 
 
 def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", ci_alpha=0.05,
-                    threads=1, theta0=None, n_oracle=1_000_000, max_failure_share=0.01):
+                    threads=1, theta0=None, max_failure_share=0.01):
     """Replicate the full pipeline R times and aggregate MSE (normalized so
     the unadjusted estimator under the complete-randomization design is 1),
     coverage of both targets, interval widths, and draws until acceptance.
+
+    The superpopulation target (the centre of ``cover_pop`` and ``mse``) is
+    ``theta0`` when given, else the DGP's exact one, ``population_target``.
 
     ``threads`` > 1 runs the replicates in that many worker processes (at
     most one per replicate); the result does not depend on it.
@@ -512,10 +550,7 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", ci_alpha=0.
 
     check_estimand(estimand, dgp)
     if theta0 is None:
-        # the population target alone: the oracle's variances go unused here
-        draw, x = _oracle_sample(dgp, estimand, n_oracle, RngSpec(seed).substream(0, 0))
-        theta0 = finite_pop_estimand(draw, estimand, dgp.p, x=x)
-        del draw, x  # the large sample must not outlive the oracle
+        theta0 = population_target(dgp, estimand)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
 
     # replicates are seeded by index, so sorting by it makes the aggregate

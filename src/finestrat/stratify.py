@@ -14,7 +14,7 @@ from itertools import islice
 
 import numpy as np
 
-from .core import ConfigError, GroupPartition, as_generator, as_matrix
+from .core import ConfigError, GroupPartition, as_generator, as_matrix, collapsed_strata
 
 _METHODS = ("greedy-nn", "sorted-1d", "random-within-cell")
 # the most points in two or more columns that _greedy_groups scans a distance
@@ -344,18 +344,6 @@ def pair_groups_by_centroid(partition, psi):
         np.einsum("gd,gd->", centroids - centroids[rho], centroids - centroids[rho])
     ) / partition.n
     return replace(partition, pairing=rho, pairing_stat=stat)
-
-
-def collapsed_strata(n, k, l):
-    """Whether n units in matched groups of k, l treated in each, are paired
-    into collapsed strata: groups with a single treated or a single control
-    unit need them for their variance bounds. An odd group count, which
-    cannot be paired, is refused."""
-    collapse = min(l, k - l) < 2
-    if collapse and n % (2 * k) == k:
-        raise ConfigError(f"n={n} in groups of k={k} gives an odd number of groups "
-                          f"({n // k}), which cannot be paired into collapsed strata")
-    return collapse
 
 
 def design_partition(psi, cfg, rng=None):

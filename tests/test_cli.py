@@ -287,7 +287,7 @@ def test_simulation_spec_shares_and_levels_are_checked_before_the_oracle(
     def no_oracle(*args):
         raise AssertionError("the oracle ran before the spec was checked")
 
-    monkeypatch.setattr("finestrat.simulate._oracle_sample", no_oracle)
+    monkeypatch.setattr("finestrat.simulate.generate_dgp", no_oracle)
     (tmp_path / "sim.json").write_text(json.dumps(
         {"model": 2, "dim_r": 3, "n": 60, "replicates": 100, **edit}))
     assert main(["simulate", "--spec", str(tmp_path / "sim.json"),
@@ -851,6 +851,60 @@ def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, mes
     capsys.readouterr()
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+def _pair_tens(manifest):
+    """Make the manifest a design of 10 groups of 10, 5 treated in each, which needs no
+    collapsed strata, and keep a pairing of its groups."""
+    manifest["spec"].update(k=10, l=5)
+    manifest["partition"].update(k=10, l=5, groups=np.arange(100).reshape(10, 10).tolist(),
+                                 pairing=[g ^ 1 for g in range(10)])
+    manifest["d"] = [i % 2 for i in range(100)]
+
+
+@pytest.mark.parametrize("edit, flags, message", [
+    (_set_first_treated(2), [], "manifest d must be binary (0 or 1), got 2 at unit"),
+    (_set_first_treated(0.5), [], "manifest d must be binary (0 or 1), got 0.5 at unit"),
+    (lambda m: m["partition"].pop("pairing"), [],
+     "manifest partition has no pairing, but its groups of k=2 with l=1 treated need "
+     "collapsed strata"),
+    (_pair_tens, [], "manifest partition has a pairing, but its groups of k=10 with l=5 "
+                     "treated need no collapsed strata"),
+    (lambda m: m["spec"].update(estimand="late"), [],
+     "estimand 'late' needs the realized treatment, and the outcomes file has no 'd' column"),
+    (lambda m: None, ["--estimand", "late"], "estimand 'late' needs the realized treatment"),
+    (lambda m: m["spec"].update(estimand="clate", roles={"baseline": "psi", "xa": ["h", "w", "x"],
+                                                         "xb": ["h", "w"]}), [],
+     "estimand 'clate' needs the realized treatment, and the outcomes file has no 'd' column"),
+], ids=["d-2", "d-half", "pairing-absent", "pairing-present", "late-without-d",
+        "late-flag-without-d", "clate-without-d"])
+def test_manifest_d_pairing_and_outcome_columns_are_checked_before_the_covariates_are_read(
+        workspace, capsys, monkeypatch, edit, flags, message):
+    # a d off 0/1 and a missing pairing were refused only once the covariates had
+    # been loaded, a pairing the design does not use was ignored, and a late or
+    # clate estimate without a realized-treatment column was refused after the load
+    tmp_path, cov, spec_path, _ = workspace
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(tmp_path / "assign.csv")]) == 0
+    with open(tmp_path / "assign.csv") as fh:
+        ids = [r["id"] for r in csv.DictReader(fh)]
+    (tmp_path / "y.csv").write_text("id,y\n" + "".join(f"{u},{i}.5\n" for i, u in enumerate(ids)))
+    manifest_path = tmp_path / "assign.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+
+    def unread(*args):
+        raise AssertionError("the covariate file was read before the manifest was checked")
+
+    monkeypatch.setattr("finestrat.cli.load_covariates", unread)
+    monkeypatch.setattr("finestrat.cli._sha256", unread)
+    capsys.readouterr()
+    assert main(["estimate", "--manifest", str(manifest_path), "--data", str(cov),
+                 "--outcomes", str(tmp_path / "y.csv"),
+                 "--out", str(tmp_path / "report.json"), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 _BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

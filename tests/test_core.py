@@ -191,3 +191,15 @@ def test_rng_spec_reproducible():
     c = RngSpec(123, 5).generator().standard_normal(8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_spec_array_abridges_a_long_value_in_its_message():
+    # a manifest's d or groups has one entry per unit, and the whole list was echoed
+    from finestrat.core import spec_array
+
+    with pytest.raises(ConfigError) as err:
+        spec_array({"d": ["x"] + [0] * 100_000}, "d", "design manifest")
+    message = str(err.value)
+    assert message.startswith("design manifest: d must be a number or a rectangular list of "
+                              "numbers, got ['x', 0, 0")
+    assert len(message) < 200

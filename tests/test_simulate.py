@@ -169,14 +169,35 @@ def test_finite_pop_estimand_sate_and_late():
     assert finite_pop_estimand(draw, "late", 0.5)[0] == pytest.approx(draw.tau[comp].mean())
 
 
+@pytest.mark.parametrize("covariance", ["identity", "equicorrelated"])
+@pytest.mark.parametrize("model", [1, 2, 3, 4])
+@pytest.mark.parametrize("estimand", ["sate", "cate", "late", "clate"])
+def test_population_target_lies_within_four_standard_errors_of_an_oracle(
+        estimand, model, covariance):
+    """The closed-form theta0 against the target of a 2e5-unit draw, whose
+    standard error comes from the draw's own influence values. Model 4's
+    cate slope rests on Stein's lemma, E[r f(r'b)] = Sigma b E[f'(r'b)]."""
+    from finestrat.simulate import _oracle_influence, _regressors, population_target
+
+    compliance = 0.5 if estimand in ("late", "clate") else None
+    dgp = DgpSpec(model=model, dim_r=5, n=200_000, covariance=covariance,
+                  compliance=compliance)
+    draw = generate_dgp(dgp, RngSpec(17, model))
+    pi_phi, _, oracle = _oracle_influence(draw, estimand, dgp.p, x=_regressors(estimand, draw.r))
+    se = pi_phi.std(axis=0) / np.sqrt(dgp.n)
+    target = population_target(dgp, estimand)
+    assert target.shape == oracle.shape
+    assert np.all(np.abs(target - oracle) <= 4.0 * se), (target, oracle, se)
+
+
 # -- the replication engine -------------------------------------------------------
 
 
 def test_run_monte_carlo_smoke_and_reproducible():
     dgp = DgpSpec(model=2, dim_r=3, n=60)
     designs = benchmark_designs(2, 3, accept_alpha=0.1)
-    res1 = run_monte_carlo(designs, dgp, replicates=100, seed=99, n_oracle=50000)
-    res2 = run_monte_carlo(designs, dgp, replicates=100, seed=99, n_oracle=50000)
+    res1 = run_monte_carlo(designs, dgp, replicates=100, seed=99)
+    res2 = run_monte_carlo(designs, dgp, replicates=100, seed=99)
     assert res1.rows == res2.rows
     assert res1.failures == 0
     buf = io.StringIO()
@@ -210,9 +231,8 @@ def test_to_csv_writes_the_same_bytes_to_a_path_and_a_handle(tmp_path):
 def test_run_monte_carlo_threads_match_serial(threads):
     dgp = DgpSpec(model=1, dim_r=2, n=40)
     designs = benchmark_designs(1, 2, accept_alpha=0.2)
-    r1 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=1, n_oracle=20000)
-    r2 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=threads,
-                         n_oracle=20000)
+    r1 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=1)
+    r2 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=threads)
     assert r1.rows == r2.rows
     assert r1.meta == r2.meta
     assert (r1.workers, r2.workers) == (1, threads)
@@ -224,10 +244,10 @@ def test_run_monte_carlo_cate_reports_the_slope_whatever_the_workers():
     dgp = DgpSpec(model=2, dim_r=3, n=60)
     designs = benchmark_designs(2, 3)
     runs = [run_monte_carlo(designs, dgp, replicates=100, seed=7, estimand="cate",
-                            threads=threads, n_oracle=200_000) for threads in (1, 2)]
+                            threads=threads) for threads in (1, 2)]
     assert runs[0].rows == runs[1].rows
     assert runs[0].meta == runs[1].meta
-    np.testing.assert_allclose(runs[0].meta["theta0"], [0.0, 4.0], atol=0.02)
+    assert runs[0].meta["theta0"] == [0.0, 4.0]
 
 
 def test_run_monte_carlo_requires_replicates():
@@ -244,7 +264,7 @@ def test_run_monte_carlo_refuses_an_unknown_estimand_before_the_oracle(monkeypat
     def no_oracle(*args):
         raise AssertionError("the oracle ran before the estimand was checked")
 
-    monkeypatch.setattr(simulate, "_oracle_sample", no_oracle)
+    monkeypatch.setattr(simulate, "generate_dgp", no_oracle)
     with pytest.raises(ConfigError, match="unknown estimand 'foo'"):
         run_monte_carlo(benchmark_designs(1, 2), DgpSpec(model=1, dim_r=2, n=40),
                         replicates=100, seed=0, estimand="foo")
