@@ -72,8 +72,13 @@ def _load_json(path, what):
 
 
 def _sha256(path):
+    """The covariates file's SHA-256, which binds a manifest to it."""
     digest = hashlib.sha256()
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise LoadError(f"covariates file not found: {path}") from None
+    with fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -167,11 +172,13 @@ def _read_outcomes(path, ids):
     """Outcomes y (and the realized treatment d, when the file has it)
     aligned to the covariate ids."""
     data, out_ids = read_csv(path, ["y"], "id", "outcomes", optional=["d"])
-    row_of = {uid: i for i, uid in enumerate(out_ids.tolist())}
-    try:
-        rows = [row_of[str(uid)] for uid in ids]
-    except KeyError as exc:
-        raise LoadError(f"outcomes file is missing id {exc.args[0]!r}") from None
+    ids = ids.astype(str)
+    order = np.argsort(out_ids)
+    at = np.minimum(out_ids.searchsorted(ids, sorter=order), order.size - 1)
+    rows = order[at]
+    missing = np.flatnonzero(out_ids[rows] != ids)
+    if missing.size:
+        raise LoadError(f"outcomes file is missing id {str(ids[missing[0]])!r}")
     return data[rows, 0], (data[rows, 1] if data.shape[1] == 2 else None)
 
 

@@ -14,6 +14,8 @@ import csv
 import reprlib
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -194,8 +196,8 @@ def unit_interval(value, name):
     return value
 
 
-# rows whose cell strings are held at once; each block becomes float64 as
-# soon as it is full, so a large file never holds all its cells as strings
+# lines (past a quote, csv rows) read at once; each block becomes float64 as
+# soon as it is read, so a large file never holds all its cells as strings
 _BLOCK_ROWS = 1 << 16
 
 
@@ -221,6 +223,17 @@ def _parse_block(cells, rows, columns, what):
                 return LoadError(f"{fault} value {raw!r} in {what} row {r}, column '{col}'")
 
 
+def _plain(lines, text, fields):
+    """Whether NumPy's C reader converts every line of a block (``text``
+    joined) as the row policy would: one row per line, none blank, each with
+    ``fields`` fields, and no \\x1c-\\x1f, which np.loadtxt strips from a
+    number and float() refuses. A quote is ruled out before; np.loadtxt
+    refuses a carriage return inside a line, as csv.reader does."""
+    return (not any(c in text for c in "\x1c\x1d\x1e\x1f")
+            and set(map(str.count, lines, repeat(","))) == {fields - 1}
+            and not any(map(str.isspace, lines)))
+
+
 def read_csv(source, columns, id_col, what, optional=()):
     """Numeric columns of a header-bearing CSV file (a path or an open text
     file) under one row policy, as ``(data, ids)``.
@@ -233,11 +246,21 @@ def read_csv(source, columns, id_col, what, optional=()):
     Field counts and ids are checked before cells. ``data`` holds ``columns``
     and then the ``optional`` columns the header has; other columns are
     ignored. ``ids`` is None without ``id_col``.
+
+    Lines are read ``_BLOCK_ROWS`` at a time. A plain block (``_plain``)
+    with unique ids and finite cells is converted by np.loadtxt, which gives
+    the bits float() gives; csv.reader reads every other block row by row,
+    and the rest of the file from the first quote on, and names the fault.
     """
-    with (nullcontext(source) if hasattr(source, "read")
-          else open(source, "r", newline="", encoding="utf-8")) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    if hasattr(source, "read"):
+        opened = nullcontext(source)
+    else:
+        try:
+            opened = open(source, "r", newline="", encoding="utf-8")
+        except FileNotFoundError:
+            raise LoadError(f"{what} file not found: {source}") from None
+    with opened as fh:
+        header = next(csv.reader(fh), None)
         if header is None:
             raise LoadError(f"{what} file is empty: missing header row")
         header = [c.strip() for c in header]
@@ -248,26 +271,60 @@ def read_csv(source, columns, id_col, what, optional=()):
                 raise LoadError(f"{what} file: {fault} column '{col}' (file has {header})")
         idx = [header.index(c) for c in names]
         id_idx = None if id_col is None else header.index(id_col)
-        blocks, cells, rows, ids, id_row = [], [], [], [], {}
-        for r, record in enumerate(reader, start=1):
-            if not record or (len(record) == 1 and not record[0].strip()):
-                continue
-            if len(record) != len(header):
-                raise LoadError(
-                    f"{what} row {r} has {len(record)} fields, expected {len(header)}")
-            if id_idx is not None:
-                uid = record[id_idx].strip()
-                first = id_row.setdefault(uid, r)
-                if first != r:
-                    raise LoadError(f"duplicate id {uid!r} in {what} at rows {first} and {r}")
-                ids.append(uid)
-            cells.append([record[j] for j in idx])
-            rows.append(r)
-            if len(cells) == _BLOCK_ROWS:
+        # the ids read so far, a set of them, and the rows they are on (a list
+        # or a range per block), read only to name a repeated id
+        blocks, ids, seen, id_rows, r = [], [], set(), [], 0
+
+        def by_rows(records):
+            """Read records one by one, checking each as it comes."""
+            nonlocal r
+            cells, rows = [], []
+            id_rows.append(rows)
+            for record in records:
+                r += 1
+                if not record or (len(record) == 1 and not record[0].strip()):
+                    continue
+                if len(record) != len(header):
+                    raise LoadError(
+                        f"{what} row {r} has {len(record)} fields, expected {len(header)}")
+                if id_idx is not None:
+                    uid = record[id_idx].strip()
+                    if uid in seen:
+                        first = list(chain.from_iterable(id_rows))[ids.index(uid)]
+                        raise LoadError(f"duplicate id {uid!r} in {what} at rows {first} and {r}")
+                    seen.add(uid)
+                    ids.append(uid)
+                cells.append([record[j] for j in idx])
+                rows.append(r)
+            if cells:
                 blocks.append(_parse_block(cells, rows, names, what))
-                cells, rows = [], []
-    if cells:
-        blocks.append(_parse_block(cells, rows, names, what))
+
+        for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
+            text = "".join(lines)
+            if '"' in text:  # a quoted cell may hold a comma or a newline
+                records = csv.reader(chain(lines, fh))
+                for block in iter(lambda: list(islice(records, _BLOCK_ROWS)), []):
+                    by_rows(block)
+                break
+            data = None
+            if _plain(lines, text, len(header)):
+                new = [] if id_idx is None else list(map(str.strip, map(itemgetter(id_idx), map(
+                    str.split, lines, repeat(","), repeat(id_idx + 1)))))
+                fresh = set(new)
+                if len(fresh) == len(new) and fresh.isdisjoint(seen):
+                    try:
+                        data = np.loadtxt(lines, delimiter=",", usecols=idx, dtype=np.float64,
+                                          comments=None, quotechar=None, ndmin=2)
+                    except ValueError:
+                        pass
+            if data is None or not np.isfinite(data).all():
+                by_rows(csv.reader(lines))
+                continue
+            blocks.append(data)
+            ids += new
+            seen |= fresh
+            id_rows.append(range(r + 1, r + 1 + len(lines)))
+            r += len(lines)
     if not blocks:
         raise LoadError(f"{what} file has no data rows")
     # a bad cell is reported only once every row has passed the checks above

@@ -145,44 +145,102 @@ class _ScanSource:
         return self.where[None, row <= r], np.nextafter(r, np.inf)
 
 
-class _SortSource:
-    """Candidates from the stable sort order of one column, over the points
-    unmatched at the last rebuild. In floats (a - b)**2 never decreases as b
-    walks away from a in that order, so each bound, the exact squared
-    distance of the first point past either end of a window, is at most
-    that of every point outside it."""
+def _column_groups(x, k):
+    """`_greedy_groups` in one column x. In floats (a - b)**2 never decreases
+    as b walks away from a in the stable sort order, so a point's nearest
+    unmatched distance is the smaller to its two unmatched neighbours in a
+    doubly linked list over that order, and a match changes it only for the
+    at most 2k points next to a member. An anchor's members are resolved
+    walking outward, one shell of equal distance at a time, which may span
+    several runs of equal values.
 
-    def __init__(self, points, alive):
-        self.x, self.alive, self.pos = points[:, 0], alive, np.empty(len(points), dtype=np.intp)
-        self.order = np.argsort(self.x, kind="stable")
-        self.rebuild()
+    The sort orders each run by index, so a shell's lowest indices lie at
+    the fronts of its runs, and the first unmatched position of each run is
+    kept: a shell costs O(k) per run in it, however long the runs. A run's
+    last position is matched only with the whole run, as members come from
+    the front and an anchor with unmatched run-mates has the lowest
+    unmatched index of all. The list, the runs and the distances are held
+    by position in the sort order, where neighbours lie close in memory."""
+    n = x.size
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    gap = np.square(np.diff(xs))
+    nnd = np.minimum(np.append(np.inf, gap), np.append(gap, np.inf)).tolist()
+    starts = np.append(True, xs[1:] != xs[:-1])  # where each run of equal values starts
+    run = (np.cumsum(starts) - 1).tolist()
+    head = np.flatnonzero(starts).tolist()
+    tail = np.flatnonzero(np.append(starts[1:], True)).tolist()
+    # position n, at +inf, closes the list into a ring
+    xs = xs.tolist() + [np.inf]
+    nxt, prv = [*range(1, n + 1), 0], [n, *range(n)]
+    alive = bytearray(b"\x01") * n + b"\x00"
+    pos = np.argsort(order).tolist()
+    order = order.tolist()
+    heap = [(-d, i) for i, d in zip(order, nnd)]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
 
-    def rebuild(self):
-        self.where = self.order[self.alive[self.order] != 0]
-        self.xs = self.x[self.where]
-        self.pos[self.where] = np.arange(self.where.size)
-
-    def near(self, rows, K):
-        """The K points on each side of each row, and its bound."""
-        m = self.where.size
-        span = self.pos[rows, None] + np.arange(-K - 1, K + 2)
-        # positions off either end stand for the row itself, which _ranked
-        # drops and whose bound is then infinite
-        units = np.where((span >= 0) & (span < m), self.where.take(span, mode="clip"),
-                         rows[:, None])
-        ends = units[:, ::span.shape[1] - 1]
-        gap = np.square(self.x[rows, None] - self.x[ends])
-        gap[ends == rows[:, None]] = np.inf
-        return units[:, 1:-1], gap.min(axis=1, keepdims=True)
-
-    def around(self, i, K):
-        """The K points on each side of point i with the ties at either end
-        of that window, and the bound."""
-        xs, m, p = self.xs, self.where.size, self.pos[i]
-        lo = xs.searchsorted(xs[max(p - K, 0)], "left")
-        hi = xs.searchsorted(xs[min(p + K, m - 1)], "right")
-        ends = [j for j in (lo - 1, hi) if 0 <= j < m]
-        return self.where[None, lo:hi], np.square(self.x[i] - xs[ends]).min(initial=np.inf)
+    groups = []
+    remaining = n
+    while remaining > k:
+        key, a = pop(heap)
+        pa = pos[a]
+        if not alive[pa] or nnd[pa] != -key:
+            continue  # matched, or its nearest neighbour moved away since
+        members, need, xa = [pa], k - 1, xs[pa]
+        lf, rf = prv[pa], nxt[pa]
+        while need:
+            # the next shell: every unmatched point at the nearest distance left
+            dl = (xa - xs[lf]) * (xa - xs[lf])
+            dr = (xa - xs[rf]) * (xa - xs[rf])
+            d = dl if dl < dr else dr
+            runs = []  # the first and last unmatched position of each run in it
+            while dl == d and lf != n:
+                first = head[run[lf]]
+                runs.append((first, lf))
+                lf = prv[first]
+                dl = (xa - xs[lf]) * (xa - xs[lf])
+            while dr == d and rf != n:
+                last = tail[run[rf]]
+                runs.append((rf, last))
+                rf = nxt[last]
+                dr = (xa - xs[rf]) * (xa - xs[rf])
+            got = []
+            for p, last in runs:
+                for _ in range(need):
+                    got.append(p)
+                    if p == last:
+                        break
+                    p = nxt[p]
+            if len(runs) > 1:
+                got.sort(key=order.__getitem__)  # the lowest indices of the shell
+            members += got[:need]
+            need = max(need - len(got), 0)
+        for p in members:
+            alive[p] = 0
+        touched = []
+        for p in members:
+            l, r = prv[p], nxt[p]
+            nxt[l], prv[r] = r, l
+            if head[run[p]] == p:
+                head[run[p]] = r
+            touched += l, r
+        for p in touched:
+            if alive[p]:
+                xp, xl, xr = xs[p], xs[prv[p]], xs[nxt[p]]
+                dl, dr = (xp - xl) * (xp - xl), (xp - xr) * (xp - xr)
+                d = dl if dl < dr else dr
+                if d != nnd[p]:
+                    nnd[p] = d
+                    push(heap, (-d, order[p]))
+        groups.append([order[p] for p in members])
+        remaining -= k
+    rest, p = [], nxt[n]
+    while p != n:
+        rest.append(order[p])
+        p = nxt[p]
+    groups.append(sorted(rest))
+    return np.asarray(groups, dtype=np.intp)
 
 
 def _greedy_groups(points, k):
@@ -190,8 +248,9 @@ def _greedy_groups(points, k):
     neighbour and group it with its k-1 nearest unmatched neighbours, by
     exact squared distance. Distance ties break toward the lowest index.
 
-    Each point keeps its nearest points in `_ranked` order, and a pointer to
-    the first unmatched one. They come from the sort order in one column,
+    One column (none is one column of zeros: every distance is 0) goes to
+    `_column_groups`. In two or more, each point keeps its nearest points in
+    `_ranked` order, and a pointer to the first unmatched one. They come
     from a table of every distance for at most _SCAN_MAX_POINTS points, and
     from a k-d tree beyond, which alone loads SciPy. Only points whose
     nearest neighbour was just matched move their pointer; one that runs
@@ -200,12 +259,11 @@ def _greedy_groups(points, k):
     n = points.shape[0]
     if n <= k:
         return np.arange(n, dtype=np.intp).reshape(-1, k)
-    if points.shape[1] == 0:
-        points = np.zeros((n, 1))  # no columns: every distance is 0
+    if points.shape[1] <= 1:
+        return _column_groups(points[:, 0] if points.shape[1] else np.zeros(n), k)
     alive = bytearray(b"\x01") * n
     alive_np = np.frombuffer(alive, dtype=np.uint8)
-    source = (_SortSource if points.shape[1] == 1 else
-              _ScanSource if n <= _SCAN_MAX_POINTS else _TreeSource)(points, alive_np)
+    source = (_ScanSource if n <= _SCAN_MAX_POINTS else _TreeSource)(points, alive_np)
     rows = np.arange(n)
     cand, cdist = _ranked(points, rows, *source.near(rows, k + 4), alive_np)
 

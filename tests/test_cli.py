@@ -716,6 +716,32 @@ def test_estimate_rejects_duplicate_outcome_ids(tmp_path, capsys):
     assert "duplicate id 'u7'" in err and "rows 8 and 21" in err
 
 
+@pytest.mark.parametrize("command, missing", [("assign", "data"), ("calibrate", "data"),
+                                              ("estimate", "data"), ("estimate", "outcomes")])
+def test_a_missing_input_file_exits_2_naming_it(tmp_path, capsys, command, missing):
+    ids = [f"u{i}" for i in range(20)]
+    cov, spec_path = _id_workspace(tmp_path, ids)
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(tmp_path / "assign.csv")]) == 0
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("id,y\n" + "".join(f"{u},{i}.5\n" for i, u in enumerate(ids)))
+    files = {"data": cov, "outcomes": outcomes, missing: tmp_path / "missing.csv"}
+    calibrated = tmp_path / "ball.json"
+    calibrated.write_text(json.dumps({**json.loads(spec_path.read_text()),
+                                      "region": {"shape": "ball", "dim": 1, "eps": 1.0}}))
+    argv = {"assign": ["--spec", str(spec_path), "--out", str(tmp_path / "again.csv")],
+            "calibrate": ["--spec", str(calibrated), "--alpha", "0.2", "--draws", "10",
+                          "--out", str(tmp_path / "region.json")],
+            "estimate": ["--manifest", str(tmp_path / "assign.csv.manifest.json"),
+                         "--outcomes", str(files["outcomes"]),
+                         "--out", str(tmp_path / "report.json")]}[command]
+    capsys.readouterr()
+    assert main([command, "--data", str(files["data"]), *argv]) == 2
+    err = capsys.readouterr().err
+    what = "covariates" if missing == "data" else "outcomes"
+    assert err == f"error: {what} file not found: {tmp_path / 'missing.csv'}\n"
+
+
 @pytest.mark.parametrize("text,rc,message", [
     # a blank line is skipped, as in the covariate file
     ("id,y\nu0,0.5\n\n" + "".join(f"u{i},{i}.5\n" for i in range(1, 20)), 0, None),

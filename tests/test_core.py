@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -112,6 +113,152 @@ def test_read_csv_blocks_keep_row_policy(monkeypatch):
         core.read_csv(io.StringIO(text), ["a", "b"], "id", "covariates")
     with pytest.raises(LoadError, match="covariates row 7 has 2 fields, expected 3"):
         core.read_csv(io.StringIO(text + "5,1.0\n"), ["a", "b"], "id", "covariates")
+
+
+def _reference_read_csv(source, columns, id_col, what, optional=()):
+    """The row-by-row reader that `read_csv` replaced, frozen: csv.reader
+    over every row, and one np.array per block of cells. `read_csv` must
+    give what it gives, LoadError messages included."""
+    from contextlib import nullcontext
+
+    def parse_block(cells, rows, columns, what):
+        try:
+            data = np.array(cells, dtype=np.float64)
+        except ValueError:
+            data = None
+        if data is not None and np.isfinite(data).all():
+            return data
+        for row, r in zip(cells, rows):
+            for raw, col in zip(row, columns):
+                try:
+                    fault = None if np.isfinite(float(raw)) else "non-finite"
+                except ValueError:
+                    fault = "non-numeric"
+                if fault:
+                    return LoadError(f"{fault} value {raw!r} in {what} row {r}, column '{col}'")
+
+    with (nullcontext(source) if hasattr(source, "read")
+          else open(source, "r", newline="", encoding="utf-8")) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise LoadError(f"{what} file is empty: missing header row")
+        header = [c.strip() for c in header]
+        names = [*columns, *(c for c in optional if c in header)]
+        for col in [id_col, *names]:
+            if col is not None and header.count(col) != 1:
+                fault = "repeated" if col in header else "missing"
+                raise LoadError(f"{what} file: {fault} column '{col}' (file has {header})")
+        idx = [header.index(c) for c in names]
+        id_idx = None if id_col is None else header.index(id_col)
+        blocks, cells, rows, ids, id_row = [], [], [], [], {}
+        for r, record in enumerate(reader, start=1):
+            if not record or (len(record) == 1 and not record[0].strip()):
+                continue
+            if len(record) != len(header):
+                raise LoadError(
+                    f"{what} row {r} has {len(record)} fields, expected {len(header)}")
+            if id_idx is not None:
+                uid = record[id_idx].strip()
+                first = id_row.setdefault(uid, r)
+                if first != r:
+                    raise LoadError(f"duplicate id {uid!r} in {what} at rows {first} and {r}")
+                ids.append(uid)
+            cells.append([record[j] for j in idx])
+            rows.append(r)
+    if cells:
+        blocks.append(parse_block(cells, rows, names, what))
+    if not blocks:
+        raise LoadError(f"{what} file has no data rows")
+    for block in blocks:
+        if isinstance(block, LoadError):
+            raise block
+    data = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return data, (None if id_col is None else np.array(ids))
+
+
+_CSV_ROWS = ["u0,0.5,1,x", "u1,-2.25,3e-5,y", "u2,7,.5,z", "u3,1e300,-0,w", "u4,4,5,v"]
+# one edit each to the header "id,a,b,note" and the rows above, read as
+# columns a and b, ids from id (or "args"), and the `optional` column c,
+# which is absent unless a case adds it
+_CSV_CASES = {
+    "plain": {},
+    "quoted-cells": {2: 'u1,"-2.25",3e-5,"a, b"'},
+    "quoted-newline": {3: 'u2,7,.5,"two\nlines"'},
+    "quoted-newline-at-block-end": {4: 'u3,1e300,-0,"two\nlines"'},
+    "quoted-header": {0: '"id","a",b,"note, long"'},
+    "crlf": {r: row + "\r" for r, row in enumerate(["id,a,b,note", *_CSV_ROWS])},
+    "blank-row": {2: "u1,-2.25,3e-5,y\n"},
+    "whitespace-row": {4: "  \t\nu3,1e300,-0,w"},
+    "blank-first-row": {1: "\nu0,0.5,1,x"},
+    "carriage-return-inside-a-row": {2: "u1,-2.25\r,3e-5,y"},
+    "one-column-blank": {0: "a", 1: "1", 2: "", 3: " \t", 4: "2", 5: "3", "args": (["a"], None)},
+    "ids-only": {0: "id", 1: "u0", 2: "u1", 3: "u2", 4: "u3", 5: "u4", "args": ([], "id")},
+    "ids-only-blank": {0: "id", 1: "u0", 2: "", 3: " \t", 4: "u3", 5: "u4", "args": ([], "id")},
+    "underscore": {3: "u2,1_0,.5,z"},
+    "arabic-indic-digit": {4: "u3,١,-0,w"},
+    "full-width-digit": {4: "u3,１,-0,w"},
+    "file-separator": {2: "u1,-2.25\x1c,3e-5,y"},
+    "padded": {1: "  u0 , 0.5 ,\t1\t,x", 3: "u2 ,7, .5,z"},
+    "padded-header": {0: " id , a,b ,note"},
+    "nan": {2: "u1,nan,3e-5,y"},
+    "inf": {5: "u4,4,-inf,v"},
+    "1e400": {3: "u2,1e400,.5,z"},
+    "non-numeric-late": {5: "u4,4,NA,v"},
+    "two-faults": {2: "u1,abc,3e-5,y", 4: "u3,1e300,inf,w"},
+    "short-row": {3: "u2,7,.5"},
+    "long-row": {2: "u1,-2.25,3e-5,y,extra"},
+    "empty-cell": {4: "u3,,-0,w"},
+    "empty-unused-cell": {4: "u3,1e300,-0,"},
+    "no-final-newline": {"end": ""},
+    "optional-column": {0: "id,a,b,note,c",
+                        **{r: row + ",0.75" for r, row in enumerate(_CSV_ROWS, 1)}},
+    "duplicate-adjacent": {3: "u1,7,.5,z"},
+    "duplicate-apart": {5: "u0,4,5,v"},
+    "duplicate-padded": {5: " u2,4,5,v"},
+    "duplicate-and-bad-cell": {2: "u1,x,3e-5,y", 5: "u0,4,5,v"},
+    "short-row-after-bad-cell": {2: "u1,x,3e-5,y", 5: "u4,4"},
+    "header-only": {r: None for r in range(1, 6)},
+    "missing-column": {0: "id,a,B,note"},
+    "repeated-column": {0: "id,a,b,a"},
+    "nul-in-unused-cell": {2: "u1,-2.25,3e-5,y\x00y"},
+    "unicode-id": {1: "ü0,0.5,1,x"},
+}
+
+
+def _csv_case(name):
+    lines = ["id,a,b,note", *_CSV_ROWS]
+    edits = _CSV_CASES[name]
+    for r, row in edits.items():
+        if isinstance(r, int):
+            lines[r] = row
+    text = "\n".join(row for row in lines if row is not None)
+    return text + edits.get("end", "\n"), edits.get("args", (["a", "b"], "id"))
+
+
+def _read_or_fault(reader, source, columns, id_col):
+    try:
+        data, ids = reader(source, columns, id_col, "covariates", optional=["c"])
+    except (LoadError, csv.Error) as exc:
+        return type(exc), str(exc)
+    return data.dtype, data.shape, data.tobytes(), ids if ids is None else (ids.dtype, ids.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_CASES))
+@pytest.mark.parametrize("block_rows", [2, None])
+def test_read_csv_matches_the_row_by_row_reader(monkeypatch, tmp_path, name, block_rows):
+    # from an open file and from a path, whose CRLF lines keep their "\r";
+    # two-row blocks put the duplicates within one block and across blocks
+    from finestrat import core
+
+    if block_rows is not None:
+        monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
+    text, args = _csv_case(name)
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    for source in (lambda: io.StringIO(text), lambda: str(path)):
+        want = _read_or_fault(_reference_read_csv, source(), *args)
+        assert _read_or_fault(core.read_csv, source(), *args) == want
 
 
 def test_ht_weights_formula():

@@ -11,7 +11,7 @@ from finestrat import (
     pair_groups_by_centroid,
 )
 from finestrat import stratify
-from finestrat.stratify import _ScanSource, _SortSource, _TreeSource
+from finestrat.stratify import _ScanSource, _TreeSource
 
 
 def _groups_as_sets(partition):
@@ -211,13 +211,13 @@ def test_greedy_without_columns_groups_by_index(k):
     assert part.homogeneity == 0.0
 
 
-@pytest.mark.parametrize("source", [_SortSource, _TreeSource, _ScanSource])
+@pytest.mark.parametrize("source", [_TreeSource, _ScanSource])
 def test_candidate_bounds_hold_every_point_left_out(source):
     # the matcher trusts a candidate list up to its bound: no point of the
     # source (matched since the last rebuild or not) may lie nearer and be
     # left out. Rounded Cauchy values give ties, gaps and long tails
     gen = np.random.default_rng(4)
-    d = 1 if source is _SortSource else 2
+    d = 2
     points = np.round(gen.standard_cauchy((400, d)), 1)
     alive = (gen.random(400) < 0.7).astype(np.uint8)
     src = source(points, alive)
@@ -241,20 +241,40 @@ def test_candidate_bounds_hold_every_point_left_out(source):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_every_candidate_source_gives_the_same_groups(monkeypatch, k):
     # n just below and just above the size up to which several columns scan
-    # a distance table; integer grids tie nearly every distance. The sort
-    # order is a source for one column only
+    # a distance table; integer grids tie nearly every distance. One column
+    # goes to the linked list; beside a column of zeros, which adds 0 to
+    # every squared distance, the same column goes to each source
     cut = stratify._SCAN_MAX_POINTS
     gen = np.random.default_rng(k)
     for n in (cut // k * k, (cut // k + 1) * k):
         for psi in (gen.standard_normal((n, 3)), gen.integers(0, 4, size=(n, 2)) * 1.0,
                     gen.standard_normal((n, 1)), gen.integers(0, 9, size=(n, 1)) * 1.0):
             dispatched = stratify._greedy_groups(psi, k)
-            sources = [_ScanSource, _TreeSource] + [_SortSource] * (psi.shape[1] == 1)
-            for source in sources:
-                for name in ("_SortSource", "_ScanSource", "_TreeSource"):
+            if psi.shape[1] == 1:
+                psi = np.c_[psi, np.zeros(n)]
+            for source in (_ScanSource, _TreeSource):
+                for name in ("_ScanSource", "_TreeSource"):
                     monkeypatch.setattr(stratify, name, source)
                 np.testing.assert_array_equal(stratify._greedy_groups(psi, k), dispatched)
             monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_tie_heavy_column_gives_the_tree_groups(k):
+    # about 2000 points on few values, so nearly every distance ties and runs
+    # of equal values are long: integer ages, a 4-value grid, tenths, each
+    # value k times, and values whose squared gaps round (near 1e16) or
+    # underflow (near 1e-200) to one distance, so that a tie spans several
+    # runs; the tree sees the same column beside zeros
+    gen = np.random.default_rng(40 + k)
+    n = 2000 // k * k
+    assert n > stratify._SCAN_MAX_POINTS  # so two columns go to the tree
+    rounded = np.r_[np.arange(4.0), 1e16 + 2 * np.arange(4), 1e-200 * np.arange(1, 4)]
+    for psi in (gen.integers(18, 91, n) * 1.0, gen.integers(0, 4, n) * 1.0,
+                0.1 * gen.integers(0, 60, n), gen.permutation(np.arange(n) // k) * 1.0,
+                gen.choice(rounded, n)):
+        np.testing.assert_array_equal(stratify._greedy_groups(psi[:, None], k),
+                                      stratify._greedy_groups(np.c_[psi, np.zeros(n)], k))
 
 
 def _traced_peak(fn, *args):
