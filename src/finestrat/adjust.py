@@ -22,7 +22,7 @@ from .core import (
     rank_checked_cholesky,
     within_tuple_demean,
 )
-from .gmm import solve_gmm
+from .gmm import score_cate_blp, solve_gmm
 
 
 @dataclass(frozen=True)
@@ -102,14 +102,13 @@ def _adjust(fit, frame, partition, w, w_names, u):
                          cond=cond, w=w)
 
 
-def two_step_adjust(frame, partition, spec, w=None, iterations=1, theta_init=None,
-                    w_names=None):
+def two_step_adjust(frame, partition, spec, w=None, iterations=1, w_names=None):
     """Solve the unadjusted moment problem, fit the adjustment at the
     solution, and optionally iterate: re-evaluate scores at the adjusted
     estimate until the adjusted estimate is stationary (|change| < 1e-8)."""
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
-    fit = solve_gmm(frame, spec, theta_init=theta_init)
+    fit = solve_gmm(frame, spec)
     adj = fit_adjustment(fit, frame, partition, w=w, w_names=w_names)
     theta_prev = adj.theta_adj
     for _ in range(2, iterations + 1):
@@ -127,8 +126,6 @@ def one_step_cate_adjust(frame, partition, w=None, w_names=None):
     uses the influence H*y*x'(X'X/n)^{-1}, which does not depend on theta,
     so no second pass over the scores is needed. A different finite-sample
     estimator from two_step_adjust, with the same limit."""
-    from .gmm import score_cate_blp
-
     x = frame.covariates.x
     if x.shape[1] == 0:
         raise ConfigError("one-step BLP adjustment needs heterogeneity regressors x")

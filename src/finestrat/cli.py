@@ -38,6 +38,7 @@ from .core import (
     check_keys,
     collapsed_strata,
     load_covariates,
+    open_input,
     read_csv,
     role_columns,
     spec_array,
@@ -62,23 +63,17 @@ _SIM_KEYS = {"model", "dim_r", "n", "p", "replicates", "seed", "designs",
 
 
 def _load_json(path, what):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open_input(path, what, error=ConfigError) as fh:
+        try:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _sha256(path):
     """The covariates file's SHA-256, which binds a manifest to it."""
     digest = hashlib.sha256()
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise LoadError(f"covariates file not found: {path}") from None
-    with fh:
+    with open_input(path, "covariates", binary=True) as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
@@ -93,7 +88,7 @@ def _read_design(spec, what, seed=None, layers=True, estimand=None):
     """Check a design spec before any data is read; ``seed`` and ``estimand`` are flags that
     override the spec's. With ``layers``, build its match config and region; estimate uses
     neither, and does not load the layers that build them."""
-    from .gmm import estimand_by_name
+    from .gmm import moment_of
 
     check_keys(spec, _DESIGN_KEYS, what, _DESIGN_REQUIRED)
     match = spec.get("match", {})
@@ -103,9 +98,9 @@ def _read_design(spec, what, seed=None, layers=True, estimand=None):
     seed = spec_number(spec, "seed", what, 0, int, low=0) if seed is None else seed
     alpha = unit_interval(spec_number(spec, "alpha", what, 0.05), f"{what}: alpha")
     max_draws = spec_number(spec, "max_draws", what, 10000, int, low=1)
-    estimand_by_name(spec.get("estimand", "sate"))
+    moment_of(spec.get("estimand", "sate"))  # the spec's own, even where the flag overrides it
     estimand = estimand or spec.get("estimand", "sate")
-    if estimand in ("cate", "clate") and not roles["x"]:
+    if moment_of(estimand).uses_x and not roles["x"]:
         raise ConfigError(f"{what}: estimand {estimand!r} needs heterogeneity regressors, "
                           "and no column has the 'x' role")
     cfg = region = None
@@ -184,17 +179,16 @@ def _read_outcomes(path, ids):
 
 def _outcome_columns(path):
     """The header names of the outcomes file; no row past the header is read."""
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            return [c.strip() for c in next(csv.reader(fh), [])]
-    except FileNotFoundError:
-        raise LoadError(f"outcomes file not found: {path}") from None
+    with open_input(path, "outcomes") as fh:
+        return [c.strip() for c in next(csv.reader(fh), [])]
 
 
 def _read_manifest(path, estimand, outcomes):
     """Check a design manifest, its spec (with the ``estimand`` flag), its partition and its
     ``d`` against each other, and the outcomes header against the estimand, before any data
     is read. Returns the manifest, the checked design, partition and d."""
+    from .gmm import moment_of
+
     manifest = _load_json(path, "design manifest")
     check_keys(manifest, _MANIFEST_KEYS, "design manifest", _MANIFEST_REQUIRED)
     design = _read_design(manifest["spec"], "manifest spec", layers=False, estimand=estimand)
@@ -219,7 +213,7 @@ def _read_manifest(path, estimand, outcomes):
     if off.size:
         raise ConfigError(f"manifest d must be binary (0 or 1), got {d.ravel()[off[0]]:g} "
                           f"at unit {off[0]}")
-    if design.estimand in ("late", "clate") and "d" not in _outcome_columns(outcomes):
+    if moment_of(design.estimand).needs_d and "d" not in _outcome_columns(outcomes):
         raise ConfigError(f"estimand {design.estimand!r} needs the realized treatment, and "
                           "the outcomes file has no 'd' column")
     return manifest, design, partition, d
@@ -346,6 +340,8 @@ def _seed(text):
 
 
 def build_parser():
+    from .gmm import MOMENTS
+
     parser = argparse.ArgumentParser(
         prog="finestrat",
         description="Design and analyze finely stratified rerandomized experiments",
@@ -366,7 +362,7 @@ def build_parser():
     p_est.add_argument("--data", required=True, help="covariates CSV used at assign time")
     p_est.add_argument("--outcomes", required=True, help="CSV with id,y[,d]")
     p_est.add_argument("--out", required=True)
-    p_est.add_argument("--estimand", choices=["sate", "cate", "late", "clate"])
+    p_est.add_argument("--estimand", choices=list(MOMENTS))
     p_est.set_defaults(func=cmd_estimate)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo design comparison")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import reprlib
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import itemgetter
@@ -196,6 +196,22 @@ def unit_interval(value, name):
     return value
 
 
+@contextmanager
+def open_input(path, what, binary=False, error=LoadError):
+    """``path`` open for reading, as UTF-8 text or as bytes. A file that is
+    missing, cannot be read or is not UTF-8 is an ``error`` that names the
+    file kind ``what`` and the path."""
+    try:
+        with open(path, "rb") if binary else open(path, "r", newline="", encoding="utf-8") as fh:
+            yield fh
+    except FileNotFoundError:
+        raise error(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise error(f"{what} file is not UTF-8 text: {path}") from None
+    except OSError as exc:
+        raise error(f"{what} file cannot be read: {path} ({exc.strerror or exc})") from None
+
+
 # lines (past a quote, csv rows) read at once; each block becomes float64 as
 # soon as it is read, so a large file never holds all its cells as strings
 _BLOCK_ROWS = 1 << 16
@@ -245,22 +261,30 @@ def read_csv(source, columns, id_col, what, optional=()):
     file kind ``what``, the 1-based row (blank rows counted) and the column.
     Field counts and ids are checked before cells. ``data`` holds ``columns``
     and then the ``optional`` columns the header has; other columns are
-    ignored. ``ids`` is None without ``id_col``.
+    ignored. ``ids`` is None without ``id_col``. A path that cannot be
+    opened or is not UTF-8 (``open_input``), or a row that csv.reader refuses
+    in a file read from a path, is a LoadError too.
 
     Lines are read ``_BLOCK_ROWS`` at a time. A plain block (``_plain``)
     with unique ids and finite cells is converted by np.loadtxt, which gives
     the bits float() gives; csv.reader reads every other block row by row,
     and the rest of the file from the first quote on, and names the fault.
     """
-    if hasattr(source, "read"):
-        opened = nullcontext(source)
-    else:
+    by_path = not hasattr(source, "read")
+
+    def csv_rows(records, where=None):
+        """``records``, where a csv.Error (a field over csv.field_size_limit(),
+        say) is a LoadError naming its row; from the caller's open file, whose
+        newline mode may be at fault, it is raised as it is."""
         try:
-            opened = open(source, "r", newline="", encoding="utf-8")
-        except FileNotFoundError:
-            raise LoadError(f"{what} file not found: {source}") from None
-    with opened as fh:
-        header = next(csv.reader(fh), None)
+            yield from records
+        except csv.Error as exc:
+            if not by_path:
+                raise
+            raise LoadError(f"{what} {where or f'row {r + 1}'}: {exc}") from None
+
+    with open_input(source, what) if by_path else nullcontext(source) as fh:
+        header = next(csv_rows(csv.reader(fh), "file header"), None)
         if header is None:
             raise LoadError(f"{what} file is empty: missing header row")
         header = [c.strip() for c in header]
@@ -276,11 +300,13 @@ def read_csv(source, columns, id_col, what, optional=()):
         blocks, ids, seen, id_rows, r = [], [], set(), [], 0
 
         def by_rows(records):
-            """Read records one by one, checking each as it comes."""
+            """Read records one by one, checking each as it comes; whether
+            there was any."""
             nonlocal r
+            start = r
             cells, rows = [], []
             id_rows.append(rows)
-            for record in records:
+            for record in csv_rows(records):
                 r += 1
                 if not record or (len(record) == 1 and not record[0].strip()):
                     continue
@@ -298,13 +324,14 @@ def read_csv(source, columns, id_col, what, optional=()):
                 rows.append(r)
             if cells:
                 blocks.append(_parse_block(cells, rows, names, what))
+            return r > start
 
         for lines in iter(lambda: list(islice(fh, _BLOCK_ROWS)), []):
             text = "".join(lines)
             if '"' in text:  # a quoted cell may hold a comma or a newline
                 records = csv.reader(chain(lines, fh))
-                for block in iter(lambda: list(islice(records, _BLOCK_ROWS)), []):
-                    by_rows(block)
+                while by_rows(islice(records, _BLOCK_ROWS)):
+                    pass
                 break
             data = None
             if _plain(lines, text, len(header)):
@@ -432,6 +459,8 @@ class GroupPartition:
             G = groups.shape[0]
             if rho.shape != (G,):
                 raise ConfigError("pairing must map each group to a partner")
+            if rho.min(initial=0) < 0 or rho.max(initial=0) >= G:
+                raise ConfigError(f"pairing entries must be group indices 0..{G - 1}")
             if np.any(rho == np.arange(G)) or not np.array_equal(rho[rho], np.arange(G)):
                 raise ConfigError("pairing must be a fixed-point-free involution")
             object.__setattr__(self, "pairing", read_only(rho))

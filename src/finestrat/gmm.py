@@ -8,6 +8,7 @@ layers.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,20 +101,19 @@ def newton_root(fun, jac, theta0, tol=1e-10, max_iter=200, label="solver"):
     raise EstimationError(f"{label}: no convergence in {max_iter} iterations", trace)
 
 
-def _starting_point(frame, spec, theta_init):
-    if theta_init is not None:
-        return np.atleast_1d(np.asarray(theta_init, dtype=np.float64))
+def _starting_point(frame, spec):
     if spec.init is not None:
         return np.atleast_1d(np.asarray(spec.init(frame), dtype=np.float64))
     if spec.dim_theta is None:
-        raise ConfigError(f"{spec.name}: cannot infer starting point; pass theta_init")
+        raise ConfigError(f"{spec.name}: cannot infer a starting point; give the spec "
+                          "an init or a dim_theta")
     return np.zeros(spec.dim_theta)
 
 
-def solve_gmm(frame, spec, theta_init=None, tol=1e-10, max_iter=200):
+def solve_gmm(frame, spec):
     """Drive the sample moment E_n[g_i(theta)] to zero and return the fit,
     including Pi = -G^{-1} and the per-unit scores at the solution."""
-    theta0 = _starting_point(frame, spec, theta_init)
+    theta0 = _starting_point(frame, spec)
 
     def gbar(theta):
         return np.atleast_2d(spec.score(frame, theta)).mean(axis=0)
@@ -129,9 +129,7 @@ def solve_gmm(frame, spec, theta_init=None, tol=1e-10, max_iter=200):
             f"{theta0.size}; only exact identification is supported"
         )
 
-    theta, iters, trace = newton_root(
-        gbar, jac, theta0, tol=tol, max_iter=max_iter, label=f"gmm[{spec.name}]"
-    )
+    theta, iters, trace = newton_root(gbar, jac, theta0, label=f"gmm[{spec.name}]")
     G = spec.jacobian(frame, theta) if spec.jacobian is not None else fd_jacobian(gbar, theta)
     G = np.atleast_2d(np.asarray(G, dtype=np.float64))
     try:
@@ -149,109 +147,83 @@ def assignment_component(fit):
 
 
 # ---------------------------------------------------------------------------
-# built-in scores
+# built-in scores: each estimand is the root of one linear moment,
+# g = (H*Y - w*x'theta) x. MOMENTS maps its name to (x is the 'x' role rather
+# than an intercept, w is the realized treatment H*D rather than 1); with
+# w = H*D it is the Wald (IV) moment.
+
+Moment = namedtuple("Moment", "uses_x needs_d")
+MOMENTS = {"sate": Moment(False, False), "cate": Moment(True, False),
+           "late": Moment(False, True), "clate": Moment(True, True)}
+
+
+def moment_of(name):
+    """The ``Moment`` of a built-in estimand; ConfigError for any other name."""
+    moment = MOMENTS.get(name) if isinstance(name, str) else None
+    if moment is None:
+        raise ConfigError(f"unknown estimand {name!r}; expected one of {sorted(MOMENTS)}")
+    return moment
+
+
+def linear_moment(name):
+    """The built-in estimand ``name`` as the root of g = (H*Y - w*x'theta) x.
+    Newton starts at the closed-form root solve(E_n[w x x'], E_n[H*Y x]), or at
+    zeros where that matrix is singular (Newton then reports the singular
+    Jacobian)."""
+    uses_x, needs_d = MOMENTS[name]
+
+    def columns(frame):  # H, x and w, which is None where it is 1
+        hw = horvitz_thompson_weights(frame)
+        x = frame.covariates.x if uses_x else np.ones((frame.n, 1))
+        if needs_d and frame.d_endog is None:
+            raise ConfigError(f"{name}: frame has no endogenous treatment column")
+        return hw, x, hw * frame.d_endog if needs_d else None
+
+    def gram(x, w):  # E_n[w x x']
+        return (x.T @ x if w is None else np.einsum("i,ij,ik->jk", w, x, x)) / x.shape[0]
+
+    def score(frame, theta):
+        hw, x, w = columns(frame)
+        fit = x @ theta
+        return (hw * frame.y - (fit if w is None else w * fit))[:, None] * x
+
+    def jacobian(frame, theta):
+        return -gram(*columns(frame)[1:])
+
+    def init(frame):
+        hw, x, w = columns(frame)
+        try:
+            return np.linalg.solve(gram(x, w), ((hw * frame.y)[:, None] * x).mean(axis=0))
+        except np.linalg.LinAlgError:
+            return np.zeros(x.shape[1])
+
+    return EstimandSpec(name=name, score=score, jacobian=jacobian, init=init)
 
 
 def score_sate():
-    """Difference-of-means estimand: g = H*Y - theta."""
-
-    def score(frame, theta):
-        hw = horvitz_thompson_weights(frame)
-        return (hw * frame.y - theta[0])[:, None]
-
-    def jacobian(frame, theta):
-        return np.array([[-1.0]])
-
-    def init(frame):
-        hw = horvitz_thompson_weights(frame)
-        return np.array([np.mean(hw * frame.y)])
-
-    return EstimandSpec(name="sate", dim_theta=1, score=score, jacobian=jacobian, init=init)
+    """sate: g = H*Y - theta, the difference of means."""
+    return linear_moment("sate")
 
 
 def score_cate_blp():
-    """Best linear predictor of treatment effects: g = (H*Y - x'theta) x,
-    with x the table's heterogeneity regressors."""
-
-    def score(frame, theta):
-        x = frame.covariates.x
-        hw = horvitz_thompson_weights(frame)
-        return (hw * frame.y - x @ theta)[:, None] * x
-
-    def jacobian(frame, theta):
-        x = frame.covariates.x
-        return -(x.T @ x) / frame.n
-
-    def init(frame):
-        return np.zeros(frame.covariates.d_x)
-
-    return EstimandSpec(name="cate", score=score, jacobian=jacobian, init=init)
-
-
-def _require_endog(frame, name):
-    if frame.d_endog is None:
-        raise ConfigError(f"{name}: frame has no endogenous treatment column")
+    """cate: g = (H*Y - x'theta) x, the effects' best linear predictor on x."""
+    return linear_moment("cate")
 
 
 def score_late():
-    """Complier average effect via the Wald moment: g = H*Y - H*D*theta,
-    with frame.d the instrument and frame.d_endog the realized treatment.
-    Warm-started at the Wald ratio."""
-
-    def score(frame, theta):
-        _require_endog(frame, "late")
-        hw = horvitz_thompson_weights(frame)
-        return (hw * frame.y - hw * frame.d_endog * theta[0])[:, None]
-
-    def jacobian(frame, theta):
-        _require_endog(frame, "late")
-        hw = horvitz_thompson_weights(frame)
-        return np.array([[-np.mean(hw * frame.d_endog)]])
-
-    def init(frame):
-        _require_endog(frame, "late")
-        hw = horvitz_thompson_weights(frame)
-        denom = np.mean(hw * frame.d_endog)
-        if abs(denom) < 1e-12:
-            return np.zeros(1)
-        return np.array([np.mean(hw * frame.y) / denom])
-
-    return EstimandSpec(name="late", dim_theta=1, score=score, jacobian=jacobian, init=init)
+    """late: g = H*Y - H*D*theta, the Wald moment of the compliers' effect."""
+    return linear_moment("late")
 
 
 def score_clate():
-    """Best linear predictor of complier treatment effects:
-    g = (H*Y - H*D*x'theta) x."""
-
-    def score(frame, theta):
-        _require_endog(frame, "clate")
-        x = frame.covariates.x
-        hw = horvitz_thompson_weights(frame)
-        return (hw * frame.y - hw * frame.d_endog * (x @ theta))[:, None] * x
-
-    def jacobian(frame, theta):
-        _require_endog(frame, "clate")
-        x = frame.covariates.x
-        hw = horvitz_thompson_weights(frame)
-        return -np.einsum("i,ij,ik->jk", hw * frame.d_endog, x, x) / frame.n
-
-    def init(frame):
-        return np.zeros(frame.covariates.d_x)
-
-    return EstimandSpec(name="clate", score=score, jacobian=jacobian, init=init)
+    """clate: g = (H*Y - H*D*x'theta) x, the compliers' best linear predictor."""
+    return linear_moment("clate")
 
 
-BUILTIN_ESTIMANDS = {
-    "sate": score_sate,
-    "cate": score_cate_blp,
-    "late": score_late,
-    "clate": score_clate,
-}
+BUILTIN_ESTIMANDS = {"sate": score_sate, "cate": score_cate_blp, "late": score_late,
+                     "clate": score_clate}
 
 
 def estimand_by_name(name):
-    make = BUILTIN_ESTIMANDS.get(name) if isinstance(name, str) else None
-    if make is None:
-        raise ConfigError(
-            f"unknown estimand {name!r}; expected one of {sorted(BUILTIN_ESTIMANDS)}")
-    return make()
+    moment_of(name)
+    return BUILTIN_ESTIMANDS[name]()

@@ -70,22 +70,21 @@ def _cross_moment(values, d, groups, p):
     return np.einsum("g,gi,gj->ij", wgt, S1, S0) / n
 
 
-def variance_components(frame, partition, adj, fit, spec=None):
+def variance_components(frame, partition, adj, fit, spec):
     """Within-arm and cross second-moment estimates of the adjusted
     influence values, computed from within-group cross products.
 
-    Scores are re-evaluated at the adjusted estimate when the estimand spec
-    is supplied; otherwise the fit's stored scores are used. Arm-specific
-    moments use the merged groups whenever some group has fewer than two
-    units in one arm (the cross moment always uses the original groups).
+    The estimand ``spec``'s scores are re-evaluated at the adjusted
+    estimate. Arm-specific moments use the merged groups whenever some group
+    has fewer than two units in one arm (the cross moment always uses the
+    original groups).
     """
     d = np.asarray(frame.d)
     p = frame.p
     vard = p * (1.0 - p)
     n = frame.n
 
-    scores = np.atleast_2d(spec.score(frame, adj.theta_adj)) if spec is not None else fit.scores
-    u = scores @ fit.Pi.T
+    u = np.atleast_2d(spec.score(frame, adj.theta_adj)) @ fit.Pi.T
     # with no adjustment columns the products below are zeros
     w = adj.w
     w_term = np.where((d == 1)[:, None], w @ adj.beta1, w @ adj.beta0)

@@ -30,7 +30,7 @@ from .core import (
     cov_n,
     psd_root,
 )
-from .gmm import estimand_by_name
+from .gmm import estimand_by_name, moment_of
 from .inference import confidence_intervals, variance_components
 from .randomize import draw_complete, draw_stratified
 from .rerandomize import AcceptanceRegion, FullSpaceRegion, MahalanobisRegion, rerandomize
@@ -134,10 +134,8 @@ def population_target(dgp, estimand):
     sigma = _covariance(dgp)
     b1, b0, quad1 = _model_coefficients(dgp.model, dgp.dim_r)
     mean = 0.0 if quad1 is None else float(quad1 @ np.diag(sigma))
-    if estimand in ("sate", "late"):
+    if not moment_of(estimand).uses_x:
         return np.array([mean])
-    if estimand not in ("cate", "clate"):
-        raise ConfigError(f"unknown estimand {estimand!r}")
     g = b1 - b0
     if dgp.model == 4:
         def stein(b):  # 2 b E[f'(r'b)] for f = 2 arctan
@@ -256,8 +254,7 @@ def assign_design(design, r, p, rng):
 def check_estimand(estimand, dgp):
     """Refuse an unknown estimand, or one that needs a compliance rate the
     DGP does not set, before anything is drawn."""
-    estimand_by_name(estimand)
-    if estimand in ("late", "clate") and dgp.compliance is None:
+    if moment_of(estimand).needs_d and dgp.compliance is None:
         raise ConfigError(f"estimand {estimand!r} needs a DGP with noncompliance "
                           "(DgpSpec.compliance is not set)")
 
@@ -282,51 +279,38 @@ def check_designs(designs, dgp):
                 raise ConfigError(f"design {design.name!r}: {exc}") from None
 
 
-def finite_pop_estimand(draw, estimand, p, x=None):
+def _moment_columns(draw, estimand, x):
+    """The regressors x (a column of ones for an estimand without any), the
+    complier indicator d1 - d0 (ones for one that needs no realized
+    treatment) and whether it needs one."""
+    uses_x, needs_d = moment_of(estimand)
+    n = draw.r.shape[0]
+    return x if uses_x else np.ones((n, 1)), draw.d1 - draw.d0 if needs_d else np.ones(n), needs_d
+
+
+def finite_pop_estimand(draw, estimand, x=None):
     """Root of the sample moment of the averaged score, computed from both
-    potential outcomes (simulation-only knowledge)."""
-    tau = draw.tau
-    if estimand == "sate":
-        return np.array([tau.mean()])
-    if estimand == "cate":
-        return np.linalg.solve(x.T @ x, x.T @ tau)
-    if estimand == "late":
-        comp = (draw.d1 - draw.d0).astype(np.float64)
-        return np.array([(comp * tau).sum() / comp.sum()])
-    if estimand == "clate":
-        comp = (draw.d1 - draw.d0).astype(np.float64)
-        xw = x * comp[:, None]
-        return np.linalg.solve(xw.T @ x, xw.T @ tau)
-    raise ConfigError(f"unknown estimand {estimand!r}")
+    potential outcomes (simulation-only knowledge): solve(E_n[c x x'],
+    E_n[c x tau]) with c the complier indicator."""
+    x, comp, _ = _moment_columns(draw, estimand, x)
+    xc = x * comp[:, None]
+    return np.linalg.solve(xc.T @ x / x.shape[0], (xc * draw.tau[:, None]).mean(axis=0))
 
 
 def _oracle_influence(draw, estimand, p, x=None):
     """Per-unit sampling and assignment influence values (after applying
     the linearization matrix), plus the population-target parameter."""
-    n = draw.r.shape[0]
-    theta0 = finite_pop_estimand(draw, estimand, p, x=x)
-    if estimand == "sate":
-        pi_phi = (draw.tau - theta0[0])[:, None]
-        pi_a = draw.ylevel(p)[:, None]
-        return pi_phi, pi_a, theta0
-    if estimand == "cate":
-        inv = np.linalg.inv(x.T @ x / n)
-        pi_phi = ((draw.tau - x @ theta0)[:, None] * x) @ inv.T
-        pi_a = (draw.ylevel(p)[:, None] * x) @ inv.T
-        return pi_phi, pi_a, theta0
-    comp = (draw.d1 - draw.d0).astype(np.float64)
-    t1 = np.where(draw.d1 == 1, draw.y1, draw.y0)
-    t0 = np.where(draw.d0 == 1, draw.y1, draw.y0)
-    tlevel = (1.0 - p) * t1 + p * t0
-    dlevel = (1.0 - p) * draw.d1 + p * draw.d0
-    if estimand == "late":
-        ec = comp.mean()
-        pi_phi = (comp * (draw.tau - theta0[0]))[:, None] / ec
-        pi_a = (tlevel - dlevel * theta0[0])[:, None] / ec
-        return pi_phi, pi_a, theta0
-    inv = np.linalg.inv((x * comp[:, None]).T @ x / n)
-    pi_phi = ((comp * (draw.tau - x @ theta0))[:, None] * x) @ inv.T
-    pi_a = ((tlevel - dlevel * (x @ theta0))[:, None] * x) @ inv.T
+    theta0 = finite_pop_estimand(draw, estimand, x=x)
+    x, comp, needs_d = _moment_columns(draw, estimand, x)
+    inv = np.linalg.inv((x * comp[:, None]).T @ x / x.shape[0])
+    fit = x @ theta0
+    pi_phi = ((comp * (draw.tau - fit))[:, None] * x) @ inv.T
+    level = draw.ylevel(p)
+    if needs_d:  # the outcome a unit shows in either arm, less the treatment's part
+        level = ((1.0 - p) * np.where(draw.d1 == 1, draw.y1, draw.y0)
+                 + p * np.where(draw.d0 == 1, draw.y1, draw.y0)
+                 - ((1.0 - p) * draw.d1 + p * draw.d0) * fit)
+    pi_a = (level[:, None] * x) @ inv.T
     return pi_phi, pi_a, theta0
 
 
@@ -353,10 +337,8 @@ def _locality_order(psi):
 
 def _regressors(estimand, r):
     """The heterogeneity regressors of an estimand on covariates r: an
-    intercept and the first covariate for cate/clate, None otherwise."""
-    if estimand in ("cate", "clate"):
-        return np.column_stack([np.ones(r.shape[0]), r[:, [0]]])
-    return None
+    intercept and the first covariate where it uses any, else None."""
+    return np.column_stack([np.ones(r.shape[0]), r[:, [0]]]) if moment_of(estimand).uses_x else None
 
 
 def population_variances(dgp, estimand="sate", psi_cols=(), h_cols=(), w_cols=(),
@@ -490,7 +472,7 @@ _FIELDS = ("unadjusted", "adjusted", "target_fin", "target_pop", "cover_fin", "c
 def _one_replicate(dgp, designs, estimand, ci_alpha, seed, theta0, rep):
     data = generate_dgp(dgp, RngSpec(seed).substream(1, rep, 0))
     x = _regressors(estimand, data.r)
-    theta_n = finite_pop_estimand(data, estimand, dgp.p, x=x)
+    theta_n = finite_pop_estimand(data, estimand, x=x)
     spec = estimand_by_name(estimand)
     # the reported coordinate: the slope for cate/clate, the only one otherwise
     c_vec = np.eye(theta0.size)[-1]

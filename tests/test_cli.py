@@ -467,6 +467,25 @@ def test_readme_key_tables_list_every_spec_key():
         assert sorted(rows) == sorted(keys), heading
 
 
+def test_estimand_choices_readme_and_table_agree(capsys):
+    # estimate --estimand, the README's estimand values and its Estimands
+    # table all follow gmm.MOMENTS
+    from finestrat.cli import build_parser
+    from finestrat.gmm import BUILTIN_ESTIMANDS, MOMENTS
+
+    assert list(BUILTIN_ESTIMANDS) == list(MOMENTS)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["estimate", "--manifest", "m", "--data", "c", "--outcomes",
+                                   "y", "--out", "r", "--estimand", "?"])
+    assert re.findall(r"\w+", capsys.readouterr().err.split("choose from", 1)[1]) == list(MOMENTS)
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sections = {part.split("\n", 1)[0]: part for part in re.split(r"\n#{2,4} ", text)}
+    row = re.search(r"^\| `estimand` \| string \| ([^;|]*)", sections["Design spec keys"], re.M)
+    assert re.findall(r"`(\w+)`", row.group(1)) == list(MOMENTS)
+    table = re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \|", sections["Estimands"], re.M)
+    assert {name: (x == "the `x` role", w == "H·D") for name, x, w in table} == MOMENTS
+
+
 def test_calibrate_writes_threshold(workspace, capsys):
     tmp_path, cov, spec_path, _ = workspace
     spec = json.loads(spec_path.read_text())
@@ -742,6 +761,50 @@ def test_a_missing_input_file_exits_2_naming_it(tmp_path, capsys, command, missi
     assert err == f"error: {what} file not found: {tmp_path / 'missing.csv'}\n"
 
 
+@pytest.mark.parametrize("command, flag, fault", [
+    ("assign", "--data", "directory"), ("calibrate", "--data", "directory"),
+    ("estimate", "--data", "directory"), ("estimate", "--outcomes", "directory"),
+    ("assign", "--spec", "directory"), ("estimate", "--manifest", "directory"),
+    ("assign", "--data", "not-utf-8"),
+])
+def test_an_input_that_cannot_be_read_exits_2_naming_it(tmp_path, capsys, command, flag, fault):
+    # each was a traceback with exit 1: IsADirectoryError or UnicodeDecodeError
+    ids = [f"u{i}" for i in range(20)]
+    cov, spec_path = _id_workspace(tmp_path, ids)
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(tmp_path / "assign.csv")]) == 0
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("id,y\n" + "".join(f"{u},{i}.5\n" for i, u in enumerate(ids)))
+    calibrated = tmp_path / "ball.json"
+    calibrated.write_text(json.dumps({**json.loads(spec_path.read_text()),
+                                      "region": {"shape": "ball", "dim": 1, "eps": 1.0}}))
+    files = {"--data": cov, "--outcomes": outcomes,
+             "--manifest": tmp_path / "assign.csv.manifest.json",
+             "--spec": calibrated if command == "calibrate" else spec_path}
+    bad = tmp_path / "bad"
+    if fault == "directory":
+        bad.mkdir()
+    else:  # the first data row's id holds the byte 0xff
+        bad.write_bytes(cov.read_bytes().replace(b"u0,", b"u\xff,", 1))
+    files[flag] = bad
+    argv = {"assign": ["--spec", files["--spec"], "--data", files["--data"],
+                       "--out", tmp_path / "again.csv"],
+            "calibrate": ["--spec", files["--spec"], "--data", files["--data"],
+                          "--alpha", "0.2", "--draws", "10", "--out", tmp_path / "region.json"],
+            "estimate": ["--manifest", files["--manifest"], "--data", files["--data"],
+                         "--outcomes", files["--outcomes"], "--out", tmp_path / "report.json"]}
+    capsys.readouterr()
+    assert main([command, *map(str, argv[command])]) == 2
+    what = {"--data": "covariates", "--outcomes": "outcomes", "--spec": "design spec",
+            "--manifest": "design manifest"}[flag]
+    err = capsys.readouterr().err
+    if fault == "directory":
+        assert err.startswith(f"error: {what} file cannot be read: {bad} (")
+    else:
+        assert err == f"error: {what} file is not UTF-8 text: {bad}\n"
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text,rc,message", [
     # a blank line is skipped, as in the covariate file
     ("id,y\nu0,0.5\n\n" + "".join(f"u{i},{i}.5\n" for i in range(1, 20)), 0, None),
@@ -845,13 +908,16 @@ def _add_to_first(key, step):
      "partition: groups must be an integer or a rectangular list of integers"),
     ("manifest", _add_to_first("pairing", 0.5),
      "partition: pairing must be an integer or a rectangular list of integers"),
+    # was an IndexError, exit 1
+    ("manifest", _add_to_first("pairing", 15), "pairing entries must be group indices 0..9"),
     # an outcomes d of 2.5 used to give a LATE estimate
     ("outcomes", lambda lines: lines.__setitem__(3, lines[3][:-1] + "2.5"), "must be 0 or 1"),
     ("simulation spec", _drop("model"), "simulation spec is missing required key 'model'"),
     ("simulation spec", _drop("n"), "missing required key 'n'"),
 ], ids=["no-d", "no-partition", "no-spec", "no-hash", "no-roles", "no-groups", "short-d",
         "d-2", "d-half", "extra-key", "partition-n", "partition-k-fraction", "partition-l-bool",
-        "group-index-fraction", "pairing-fraction", "outcome-d", "sim-no-model", "sim-no-n"])
+        "group-index-fraction", "pairing-fraction", "pairing-out-of-range", "outcome-d",
+        "sim-no-model", "sim-no-n"])
 def test_malformed_manifest_and_specs_exit_2(tmp_path, capsys, target, edit, message):
     ids = [f"u{i}" for i in range(20)]
     cov, spec_path = _id_workspace(tmp_path, ids)

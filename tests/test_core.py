@@ -261,6 +261,31 @@ def test_read_csv_matches_the_row_by_row_reader(monkeypatch, tmp_path, name, blo
         assert _read_or_fault(core.read_csv, source(), *args) == want
 
 
+@pytest.mark.parametrize("block_rows", [2, None])
+def test_read_csv_names_the_row_csv_reader_refuses(monkeypatch, tmp_path, block_rows):
+    # a quoted cell over csv.field_size_limit() in an unused column was a
+    # bare _csv.Error (exit 1 from the CLI); from a caller's open file it still is
+    from finestrat import core
+
+    if block_rows is not None:
+        monkeypatch.setattr(core, "_BLOCK_ROWS", block_rows)
+    lines = ["id,a,b,note", *_CSV_ROWS]
+    lines[4] = 'u3,1e300,-0,"' + "x" * 200_000 + '"'
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LoadError) as exc:
+        core.read_csv(str(path), ["a", "b"], "id", "covariates")
+    assert str(exc.value) == "covariates row 4: field larger than field limit (131072)"
+    with open(path, newline="") as fh, pytest.raises(csv.Error, match="field limit"):
+        core.read_csv(fh, ["a", "b"], "id", "covariates")
+    lines[4] = _CSV_ROWS[3]
+    lines[0] += ',"' + "x" * 200_000 + '"'
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(LoadError) as exc:
+        core.read_csv(str(path), ["a", "b"], "id", "covariates")
+    assert str(exc.value) == "covariates file header: field larger than field limit (131072)"
+
+
 def test_ht_weights_formula():
     np.testing.assert_array_equal(
         horvitz_thompson_weights(np.array([1, 0]), p=0.5), [2.0, -2.0]

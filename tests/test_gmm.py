@@ -223,3 +223,180 @@ def test_assignment_component_cate_dense_oracle():
     scores = (hw * y - x @ fit.theta)[:, None] * x
     oracle = scores @ gram_inv.T
     np.testing.assert_allclose(assignment_component(fit), oracle, rtol=1e-9)
+
+
+# -- the built-in estimands against their hand-written moments ------------------------
+
+
+def _reference_require_endog(frame, name):
+    if frame.d_endog is None:
+        raise ConfigError(f"{name}: frame has no endogenous treatment column")
+
+
+def _reference_sate():
+    def score(frame, theta):
+        hw = horvitz_thompson_weights(frame)
+        return (hw * frame.y - theta[0])[:, None]
+
+    def jacobian(frame, theta):
+        return np.array([[-1.0]])
+
+    def init(frame):
+        hw = horvitz_thompson_weights(frame)
+        return np.array([np.mean(hw * frame.y)])
+
+    return EstimandSpec(name="sate", dim_theta=1, score=score, jacobian=jacobian, init=init)
+
+
+def _reference_cate():
+    def score(frame, theta):
+        x = frame.covariates.x
+        hw = horvitz_thompson_weights(frame)
+        return (hw * frame.y - x @ theta)[:, None] * x
+
+    def jacobian(frame, theta):
+        x = frame.covariates.x
+        return -(x.T @ x) / frame.n
+
+    def init(frame):
+        return np.zeros(frame.covariates.d_x)
+
+    return EstimandSpec(name="cate", score=score, jacobian=jacobian, init=init)
+
+
+def _reference_late():
+    def score(frame, theta):
+        _reference_require_endog(frame, "late")
+        hw = horvitz_thompson_weights(frame)
+        return (hw * frame.y - hw * frame.d_endog * theta[0])[:, None]
+
+    def jacobian(frame, theta):
+        _reference_require_endog(frame, "late")
+        hw = horvitz_thompson_weights(frame)
+        return np.array([[-np.mean(hw * frame.d_endog)]])
+
+    def init(frame):
+        _reference_require_endog(frame, "late")
+        hw = horvitz_thompson_weights(frame)
+        denom = np.mean(hw * frame.d_endog)
+        if abs(denom) < 1e-12:
+            return np.zeros(1)
+        return np.array([np.mean(hw * frame.y) / denom])
+
+    return EstimandSpec(name="late", dim_theta=1, score=score, jacobian=jacobian, init=init)
+
+
+def _reference_clate():
+    def score(frame, theta):
+        _reference_require_endog(frame, "clate")
+        x = frame.covariates.x
+        hw = horvitz_thompson_weights(frame)
+        return (hw * frame.y - hw * frame.d_endog * (x @ theta))[:, None] * x
+
+    def jacobian(frame, theta):
+        _reference_require_endog(frame, "clate")
+        x = frame.covariates.x
+        hw = horvitz_thompson_weights(frame)
+        return -np.einsum("i,ij,ik->jk", hw * frame.d_endog, x, x) / frame.n
+
+    def init(frame):
+        return np.zeros(frame.covariates.d_x)
+
+    return EstimandSpec(name="clate", score=score, jacobian=jacobian, init=init)
+
+
+# the four estimands as each was written out by hand before they became one linear moment
+_REFERENCE_ESTIMANDS = {"sate": _reference_sate, "cate": _reference_cate,
+                        "late": _reference_late, "clate": _reference_clate}
+
+
+def _random_design(gen, k, with_w):
+    """A random frame in groups of k with one treated each, and its partition,
+    whose groups are paired for the collapsed strata."""
+    from finestrat import GroupPartition
+
+    n_groups = 2 * int(gen.integers(3, 40))
+    n = k * n_groups
+    groups = gen.permutation(n).reshape(n_groups, k)
+    partition = GroupPartition(groups=groups, k=k, l=1,
+                               pairing=np.arange(n_groups) ^ 1)
+    d = np.zeros(n, dtype=np.int64)
+    d[groups[np.arange(n_groups), gen.integers(0, k, n_groups)]] = 1
+    r = gen.standard_normal((n, 3))
+    x = np.column_stack([np.ones(n), r[:, 0]])
+    d_endog = (d * (gen.random(n) < 0.7)).astype(float)
+    y = r @ np.array([1.0, -0.5, 0.25]) + d_endog * (2.0 + r[:, 0]) + gen.standard_normal(n)
+    table = CovariateTable(psi=r[:, :1], h=None, w=r[:, 1:] if with_w else None, x=x, ids=None)
+    frame = ExperimentFrame(covariates=table, d=d, p=1.0 / k, y=y, d_endog=d_endog)
+    return frame, partition
+
+
+def _chain(frame, partition, spec):
+    from finestrat import confidence_intervals, two_step_adjust, variance_components
+
+    fit, adj = two_step_adjust(frame, partition, spec, w=frame.covariates.w)
+    comp = variance_components(frame, partition, adj, fit, spec=spec)
+    report = confidence_intervals(fit, adj, comp)
+    return [fit.theta, fit.G, fit.Pi, fit.scores, adj.theta_adj,
+            np.array(report.ci_fin), np.array(report.ci_pop)]
+
+
+@pytest.mark.parametrize("with_w", [False, True], ids=["no-w", "w"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", ["sate", "cate", "late", "clate"])
+def test_builtin_estimands_match_their_hand_written_moments(name, k, with_w):
+    # every array of the estimation chain, bit for bit, against the four
+    # hand-written closure sets; k = 3 has p = 1/3
+    from finestrat import estimand_by_name
+
+    gen = np.random.default_rng([k, with_w, len(name)])
+    for _ in range(25):
+        frame, partition = _random_design(gen, k, with_w)
+        got = _chain(frame, partition, estimand_by_name(name))
+        want = _chain(frame, partition, _REFERENCE_ESTIMANDS[name]())
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_builtin_estimand_reports_match_their_hand_written_moments(tmp_path, monkeypatch):
+    # estimate's report for each estimand, byte for byte, with the built-in
+    # table and with the hand-written moments in its place
+    import csv
+    import json
+
+    from finestrat import gmm
+    from finestrat.cli import main
+
+    gen = np.random.default_rng(24)
+    n = 120
+    cov = tmp_path / "cov.csv"
+    data = np.column_stack([gen.standard_normal((n, 3)), np.ones(n)])
+    with open(cov, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["base", "a", "b", "const"])
+        writer.writerows(data.tolist())
+    spec = {"roles": {"base": ["psi", "x"], "a": ["h", "w"], "b": ["h", "w"], "const": "x"},
+            "k": 2, "l": 1, "region": {"shape": "mahalanobis", "alpha": 0.3}, "seed": 5}
+    (tmp_path / "design.json").write_text(json.dumps(spec))
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(tmp_path / "design.json"), "--data", str(cov),
+                 "--out", str(out)]) == 0
+    d = np.array(json.loads((tmp_path / "assign.csv.manifest.json").read_text())["d"])
+    d_endog = d * (gen.random(n) < 0.8)
+    y = data[:, :3] @ np.array([1.0, 0.5, -0.5]) + d_endog * (1.0 + data[:, 0]) \
+        + gen.standard_normal(n)
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("id,y,d\n" + "".join(
+        f"{i},{v!r},{t}\n" for i, (v, t) in enumerate(zip(y.tolist(), d_endog.tolist()))))
+
+    def report(name, tag):
+        path = tmp_path / f"{name}-{tag}.json"
+        assert main(["estimate", "--manifest", str(out) + ".manifest.json", "--data", str(cov),
+                     "--outcomes", str(outcomes), "--out", str(path), "--estimand", name]) == 0
+        return path.read_bytes()
+
+    names = list(gmm.MOMENTS)
+    built_in = {name: report(name, "table") for name in names}
+    monkeypatch.setattr(gmm, "BUILTIN_ESTIMANDS", _REFERENCE_ESTIMANDS)
+    for name in names:
+        assert report(name, "reference") == built_in[name], name

@@ -164,9 +164,59 @@ def test_population_variances_sr_design_quantities():
 def test_finite_pop_estimand_sate_and_late():
     dgp = DgpSpec(model=2, dim_r=3, n=2000, compliance=0.5)
     draw = generate_dgp(dgp, RngSpec(14))
-    assert finite_pop_estimand(draw, "sate", 0.5)[0] == pytest.approx(draw.tau.mean())
+    assert finite_pop_estimand(draw, "sate")[0] == pytest.approx(draw.tau.mean())
     comp = (draw.d1 - draw.d0).astype(bool)
-    assert finite_pop_estimand(draw, "late", 0.5)[0] == pytest.approx(draw.tau[comp].mean())
+    assert finite_pop_estimand(draw, "late")[0] == pytest.approx(draw.tau[comp].mean())
+
+
+def _reference_oracle_influence(draw, estimand, p, x=None):
+    """The finite-population target and oracle influence values as they were
+    written out for each estimand before the estimands became one moment."""
+    n = draw.r.shape[0]
+    tau = draw.tau
+    comp = None if draw.d1 is None else (draw.d1 - draw.d0).astype(np.float64)
+    if estimand == "sate":
+        theta0 = np.array([tau.mean()])
+        return (tau - theta0[0])[:, None], draw.ylevel(p)[:, None], theta0
+    if estimand == "cate":
+        theta0 = np.linalg.solve(x.T @ x, x.T @ tau)
+        inv = np.linalg.inv(x.T @ x / n)
+        return (((tau - x @ theta0)[:, None] * x) @ inv.T,
+                (draw.ylevel(p)[:, None] * x) @ inv.T, theta0)
+    t1 = np.where(draw.d1 == 1, draw.y1, draw.y0)
+    t0 = np.where(draw.d0 == 1, draw.y1, draw.y0)
+    tlevel = (1.0 - p) * t1 + p * t0
+    dlevel = (1.0 - p) * draw.d1 + p * draw.d0
+    if estimand == "late":
+        theta0 = np.array([(comp * tau).sum() / comp.sum()])
+        ec = comp.mean()
+        return ((comp * (tau - theta0[0]))[:, None] / ec,
+                (tlevel - dlevel * theta0[0])[:, None] / ec, theta0)
+    xw = x * comp[:, None]
+    theta0 = np.linalg.solve(xw.T @ x, xw.T @ tau)
+    inv = np.linalg.inv(xw.T @ x / n)
+    return (((comp * (tau - x @ theta0))[:, None] * x) @ inv.T,
+            ((tlevel - dlevel * (x @ theta0))[:, None] * x) @ inv.T, theta0)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.3])
+@pytest.mark.parametrize("estimand", ["sate", "cate", "late", "clate"])
+def test_oracle_influence_matches_each_estimands_own_formula(estimand, p):
+    # one formula for every estimand, against the four it replaced: equal up
+    # to the order of the sums; sate keeps its bits
+    from finestrat.simulate import _oracle_influence, _regressors
+
+    compliance = 0.6 if estimand in ("late", "clate") else None
+    draw = generate_dgp(DgpSpec(model=3, dim_r=3, n=2000, p=p, compliance=compliance),
+                        RngSpec(41))
+    x = _regressors(estimand, draw.r)
+    got = _oracle_influence(draw, estimand, p, x=x)
+    want = _reference_oracle_influence(draw, estimand, p, x=x)
+    for a, b in zip(got, want):
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+    if estimand == "sate":
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    np.testing.assert_array_equal(finite_pop_estimand(draw, estimand, x=x), got[2])
 
 
 @pytest.mark.parametrize("covariance", ["identity", "equicorrelated"])
