@@ -131,7 +131,7 @@ def one_step_cate_adjust(frame, partition, w=None, w_names=None):
         raise ConfigError("one-step BLP adjustment needs heterogeneity regressors x")
     fit = solve_gmm(frame, score_cate_blp())
     hy = horvitz_thompson_weights(frame) * frame.y
-    u = (hy[:, None] * x) @ np.linalg.inv(x.T @ x / frame.n)
+    u = (hy[:, None] * x) @ fit.Pi  # Pi = -G^{-1} = (X'X/n)^{-1}
     return fit, _adjust(fit, frame, partition, w, w_names, u)
 
 

@@ -209,6 +209,8 @@ def _read_manifest(path, estimand, outcomes):
             f"k={partition.k} with l={partition.l} treated need {'' if collapse else 'no '}"
             "collapsed strata")
     d = spec_array(manifest, "d", "design manifest")
+    if d.shape != (partition.n,):
+        raise ConfigError(f"manifest d must have shape ({partition.n},), got {d.shape}")
     off = np.flatnonzero(~np.isin(d, (0, 1)))
     if off.size:
         raise ConfigError(f"manifest d must be binary (0 or 1), got {d.ravel()[off[0]]:g} "

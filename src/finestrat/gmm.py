@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -41,43 +42,53 @@ class GmmFit:
     trace: tuple = ()
 
 
-def fd_jacobian(fun, theta, base=None):
-    """Central finite differences of a vector function, column by column,
-    with step 1e-6 * max(1, |theta_j|)."""
+def fd_jacobian(fun, theta):
+    """Central finite differences of the mean of the rows fun(theta) (a vector
+    function is one row), column by column, with step 1e-6 * max(1, |theta_j|)."""
     theta = np.asarray(theta, dtype=np.float64)
-    d = theta.size
-    f0 = np.asarray(fun(theta) if base is None else base).ravel()
-    J = np.empty((f0.size, d))
-    for j in range(d):
+    cols = []
+    for j in range(theta.size):
         h = 1e-6 * max(1.0, abs(theta[j]))
         tp = theta.copy()
         tm = theta.copy()
         tp[j] += h
         tm[j] -= h
-        J[:, j] = (np.asarray(fun(tp)).ravel() - np.asarray(fun(tm)).ravel()) / (2.0 * h)
+        cols.append((np.atleast_2d(fun(tp)).mean(axis=0) - np.atleast_2d(fun(tm)).mean(axis=0))
+                    / (2.0 * h))
+    return np.column_stack(cols)
+
+
+def _square(J, label):
+    """A Jacobian as a float (d, d) matrix; ConfigError naming any other shape."""
+    J = np.atleast_2d(np.asarray(J, dtype=np.float64))
+    if J.shape[0] != J.shape[1]:
+        raise ConfigError(f"{label}: Jacobian has shape {J.shape}; an exactly identified "
+                          "moment needs a square one")
     return J
 
 
 def newton_root(fun, jac, theta0, tol=1e-10, max_iter=200, label="solver"):
-    """Damped Newton iteration for fun(theta) = 0 (square systems).
+    """Damped Newton iteration driving the mean of the score rows fun(theta),
+    an (m, d) array, to zero. The rows at the start fix the moment count d,
+    which must equal dim(theta); jac(theta) is the Jacobian of the mean, or
+    None for central finite differences.
 
-    Convergence is sup-norm of the residual <= tol; steps are halved until
-    the residual 2-norm decreases. Raises EstimationError (with the
-    iteration trace attached) on a singular Jacobian or stalled progress.
+    Convergence is sup-norm of the mean <= tol; steps are halved until its
+    2-norm decreases. Returns theta, the rows at theta, the iteration count
+    and the (iteration, sup-norm) trace. Raises EstimationError (with the
+    trace attached) on a singular Jacobian or stalled progress.
     """
     theta = np.array(theta0, dtype=np.float64).ravel().copy()
-    g = np.asarray(fun(theta), dtype=np.float64).ravel()
+    rows = np.atleast_2d(fun(theta))
+    if rows.shape[1] != theta.size:
+        raise ConfigError(f"{label}: {rows.shape[1]} moments for {theta.size} parameters; only "
+                          "exact identification is supported (the start sets the parameter count)")
+    g = rows.mean(axis=0)
     trace = [(0, float(np.abs(g).max()))]
     for it in range(1, max_iter + 1):
         if np.abs(g).max() <= tol:
-            return theta, it - 1, tuple(trace)
-        J = jac(theta) if jac is not None else fd_jacobian(fun, theta, base=g)
-        J = np.atleast_2d(np.asarray(J, dtype=np.float64))
-        if J.shape[0] != J.shape[1]:
-            raise ConfigError(
-                f"{label}: over-identified system ({J.shape[0]} moments, "
-                f"{J.shape[1]} parameters) not implemented"
-            )
+            return theta, rows, it - 1, tuple(trace)
+        J = _square(jac(theta) if jac is not None else fd_jacobian(fun, theta), label)
         try:
             step = np.linalg.solve(J, -g)
         except np.linalg.LinAlgError:
@@ -88,16 +99,17 @@ def newton_root(fun, jac, theta0, tol=1e-10, max_iter=200, label="solver"):
         scale = 1.0
         for _ in range(50):
             cand = theta + scale * step
-            g_new = np.asarray(fun(cand), dtype=np.float64).ravel()
+            rows_new = np.atleast_2d(fun(cand))
+            g_new = rows_new.mean(axis=0)
             if np.isfinite(g_new).all() and np.linalg.norm(g_new) < max(norm0 * (1.0 - 1e-4 * scale), tol * 0.5):
                 break
             scale *= 0.5
         else:
             raise EstimationError(f"{label}: step halving stalled at iteration {it}", trace)
-        theta, g = cand, g_new
+        theta, rows, g = cand, rows_new, g_new
         trace.append((it, float(np.abs(g).max())))
     if np.abs(g).max() <= tol:
-        return theta, max_iter, tuple(trace)
+        return theta, rows, max_iter, tuple(trace)
     raise EstimationError(f"{label}: no convergence in {max_iter} iterations", trace)
 
 
@@ -111,32 +123,18 @@ def _starting_point(frame, spec):
 
 
 def solve_gmm(frame, spec):
-    """Drive the sample moment E_n[g_i(theta)] to zero and return the fit,
-    including Pi = -G^{-1} and the per-unit scores at the solution."""
-    theta0 = _starting_point(frame, spec)
-
-    def gbar(theta):
-        return np.atleast_2d(spec.score(frame, theta)).mean(axis=0)
-
-    jac = None
-    if spec.jacobian is not None:
-        jac = lambda theta: spec.jacobian(frame, theta)
-
-    probe = np.atleast_2d(spec.score(frame, theta0))
-    if probe.shape[1] != theta0.size:
-        raise ConfigError(
-            f"{spec.name}: score dimension {probe.shape[1]} != dim(theta) "
-            f"{theta0.size}; only exact identification is supported"
-        )
-
-    theta, iters, trace = newton_root(gbar, jac, theta0, label=f"gmm[{spec.name}]")
-    G = spec.jacobian(frame, theta) if spec.jacobian is not None else fd_jacobian(gbar, theta)
-    G = np.atleast_2d(np.asarray(G, dtype=np.float64))
+    """Drive the sample moment E_n[g_i(theta)] to zero and return the fit:
+    Pi = -G^{-1}, with G the Jacobian at the root, and the per-unit scores
+    Newton stopped on."""
+    label = f"gmm[{spec.name}]"
+    score = partial(spec.score, frame)
+    jac = None if spec.jacobian is None else partial(spec.jacobian, frame)
+    theta, scores, iters, trace = newton_root(score, jac, _starting_point(frame, spec), label=label)
+    G = _square(jac(theta) if jac is not None else fd_jacobian(score, theta), label)
     try:
         Pi = -np.linalg.inv(G)
     except np.linalg.LinAlgError:
-        raise EstimationError(f"gmm[{spec.name}]: singular Jacobian at solution", list(trace))
-    scores = np.atleast_2d(spec.score(frame, theta))
+        raise EstimationError(f"{label}: singular Jacobian at solution", list(trace))
     return GmmFit(theta=theta, Pi=Pi, G=G, scores=scores, iterations=iters, trace=trace)
 
 

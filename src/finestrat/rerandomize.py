@@ -50,7 +50,7 @@ from .core import (
     unit_interval,
     within_tuple_demean,
 )
-from .gmm import fd_jacobian, newton_root
+from .gmm import EstimandSpec, newton_root, solve_gmm
 from .randomize import (
     AssignmentDraw,
     assignment_matrix_from_treated,
@@ -499,15 +499,15 @@ class GmmRegion(AcceptanceRegion):
 
     def bind(self, h, partition, p):
         self.check_dim(h.shape[1])
-        pooled, G = _pooled_moment_fit(h, self.score, self.jac, self.beta_init)
+        pooled = solve_gmm(h, _moment_model(self.score, self.jac, self.beta_init, h))
         if self.feasible:
-            base = self.base.bind(np.atleast_2d(self.score(h, pooled)), partition, p)
-            return replace(base, penalty=lambda T: base.penalty(np.linalg.solve(G, T.T).T))
-        base = self.base.fixed(pooled.size)
+            base = self.base.bind(pooled.scores, partition, p)
+            return replace(base, penalty=lambda T: base.penalty(np.linalg.solve(pooled.G, T.T).T))
+        base = self.base.fixed(pooled.theta.size)
 
         def penalty(d):
             try:
-                gap, _, _ = _arm_gap(h, d, self.score, self.jac, pooled)
+                gap, _, _ = _arm_gap(h, d, self.score, self.jac, pooled.theta)
             except EstimationError:
                 return np.inf
             return float(base.penalty(gap[None])[0])
@@ -557,8 +557,9 @@ def propensity_stat(frame_or_d, x, p=None):
         prob = expit(Xs @ beta)
         return -((Xs * (prob * (1.0 - prob))[:, None]).T @ Xs) / n
 
-    beta, iters, trace = newton_root(score, jac, np.zeros(X.shape[1]), max_iter=100,
-                                     label="propensity fit")
+    # the mean score is passed as its one row
+    beta, _, iters, trace = newton_root(score, jac, np.zeros(X.shape[1]), max_iter=100,
+                                        label="propensity fit")
     eta = Xs @ beta
     if np.abs(eta).max() > 15.0:
         raise EstimationError(
@@ -578,38 +579,22 @@ def propensity_stat(frame_or_d, x, p=None):
     )
 
 
-def _moment_root(x, score, jac, beta_init, label):
-    """Root of the sample moment of score on the rows of x, and the moment
-    function itself."""
-
-    def fun(beta):
-        return np.atleast_2d(score(x, beta)).mean(axis=0)
-
-    jfun = (lambda b: jac(x, b)) if jac is not None else None
-    beta, _, _ = newton_root(fun, jfun, beta_init, label=f"moment-fit[{label}]")
-    return beta, fun
-
-
-def _pooled_moment_fit(x, score, jac, beta_init):
-    if beta_init is None:
-        beta_init = np.zeros(x.shape[1])
-    beta_init = np.atleast_1d(np.asarray(beta_init, dtype=np.float64))
-    probe = np.atleast_2d(score(x, beta_init))
-    if probe.shape[1] != beta_init.size:
-        raise ConfigError(
-            f"moment model has {probe.shape[1]} moments but {beta_init.size} "
-            "parameters; beta_init sets the parameter count where it is not the covariate count"
-        )
-    beta, fun = _moment_root(x, score, jac, beta_init, "pooled")
-    G = jac(x, beta) if jac is not None else fd_jacobian(fun, beta)
-    return beta, np.atleast_2d(np.asarray(G, dtype=np.float64))
+def _moment_model(score, jac, beta_init, x):
+    """The moment model m(x, beta) on the rows of x as an EstimandSpec, whose
+    frame is x; beta starts at beta_init, or at zeros of x's width."""
+    init = None if beta_init is None else (lambda _: beta_init)
+    return EstimandSpec(name="moment-fit", score=score, jacobian=jac, init=init,
+                        dim_theta=x.shape[1])
 
 
 def _arm_gap(x, d, score, jac, start):
     """Within-arm moment fits started at `start` (the pooled root) and their
     scaled gap sqrt(n)(beta_1 - beta_0)."""
-    beta1, _ = _moment_root(x[d == 1], score, jac, start, "treated")
-    beta0, _ = _moment_root(x[d == 0], score, jac, start, "control")
+    def arm_root(rows, name):
+        arm_jac = None if jac is None else partial(jac, rows)
+        return newton_root(partial(score, rows), arm_jac, start, label=f"moment-fit[{name}]")[0]
+
+    beta1, beta0 = arm_root(x[d == 1], "treated"), arm_root(x[d == 0], "control")
     return np.sqrt(x.shape[0]) * (beta1 - beta0), beta1, beta0
 
 
@@ -619,13 +604,12 @@ def gmm_imbalance(frame, score, jac=None, x=None, beta_init=None):
     (a feasible linear surrogate for the same criterion) and the pooled
     Jacobian ride along in ``extra``."""
     x = np.asarray(frame.covariates.h if x is None else x, dtype=np.float64)
-    pooled, G = _pooled_moment_fit(x, score, jac, beta_init)
-    value, beta1, beta0 = _arm_gap(x, frame.d, score, jac, pooled)
-    surrogate = np.atleast_2d(score(x, pooled))
+    pooled = solve_gmm(x, _moment_model(score, jac, beta_init, x))
+    value, beta1, beta0 = _arm_gap(x, frame.d, score, jac, pooled.theta)
     return ImbalanceStat(
         kind="gmm", value=value, raw=value,
-        extra={"beta1": beta1, "beta0": beta0, "beta_pooled": pooled,
-               "jacobian": G, "surrogate": surrogate},
+        extra={"beta1": beta1, "beta0": beta0, "beta_pooled": pooled.theta,
+               "jacobian": pooled.G, "surrogate": pooled.scores},
     )
 
 

@@ -761,6 +761,31 @@ def test_a_missing_input_file_exits_2_naming_it(tmp_path, capsys, command, missi
     assert err == f"error: {what} file not found: {tmp_path / 'missing.csv'}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(d=m["d"][:-1]), "manifest d must have shape (20,), got (19,)"),
+    (lambda m: m.update(partition={"k": 2, "l": 1, "groups": [[0, 1], [2, 3]], "pairing": [1, 0]}),
+     "manifest d must have shape (4,), got (20,)"),
+], ids=["short-d", "partition-n"])
+def test_manifest_d_is_checked_against_the_partition_before_any_file_is_read(
+        tmp_path, capsys, edit, message):
+    # was "covariates file not found": d was checked only once the covariates were loaded
+    ids = [f"u{i}" for i in range(20)]
+    cov, spec_path = _id_workspace(tmp_path, ids)
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov), "--out", str(out)]) == 0
+    manifest_path = tmp_path / "assign.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("id,y\n" + "".join(f"{u},{i}.5\n" for i, u in enumerate(ids)))
+    capsys.readouterr()
+    assert main(["estimate", "--manifest", str(manifest_path),
+                 "--data", str(tmp_path / "missing.csv"), "--outcomes", str(outcomes),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command, flag, fault", [
     ("assign", "--data", "directory"), ("calibrate", "--data", "directory"),
     ("estimate", "--data", "directory"), ("estimate", "--outcomes", "directory"),
@@ -899,7 +924,7 @@ def _add_to_first(key, step):
     ("manifest", _set_first_treated(0.5), "d must be binary"),
     ("manifest", lambda m: m.update(extra=1), "unknown keys ['extra']"),
     ("manifest", lambda m: m.update(partition={"k": 2, "l": 1, "groups": [[0, 1], [2, 3]],
-                                               "pairing": [1, 0]}),
+                                               "pairing": [1, 0]}, d=[1, 0, 0, 1]),
      "manifest partition covers 4 units, the covariates 20"),
     # each was truncated to an integer, and estimate wrote a report
     ("manifest", lambda m: m["partition"].update(k=2.5), "partition: k must be an integer, got 2.5"),

@@ -400,3 +400,150 @@ def test_builtin_estimand_reports_match_their_hand_written_moments(tmp_path, mon
     monkeypatch.setattr(gmm, "BUILTIN_ESTIMANDS", _REFERENCE_ESTIMANDS)
     for name in names:
         assert report(name, "reference") == built_in[name], name
+
+
+# -- the shared Newton core against the mean-based solver it replaced ----------------
+
+
+def _reference_fd_jacobian(fun, theta, base=None):
+    theta = np.asarray(theta, dtype=np.float64)
+    d = theta.size
+    f0 = np.asarray(fun(theta) if base is None else base).ravel()
+    J = np.empty((f0.size, d))
+    for j in range(d):
+        h = 1e-6 * max(1.0, abs(theta[j]))
+        tp = theta.copy()
+        tm = theta.copy()
+        tp[j] += h
+        tm[j] -= h
+        J[:, j] = (np.asarray(fun(tp)).ravel() - np.asarray(fun(tm)).ravel()) / (2.0 * h)
+    return J
+
+
+def _reference_newton_root(fun, jac, theta0, tol=1e-10, max_iter=200, label="solver"):
+    """Newton on a mean moment function fun(theta) -> (d,); returns
+    (theta, iterations, trace)."""
+    theta = np.array(theta0, dtype=np.float64).ravel().copy()
+    g = np.asarray(fun(theta), dtype=np.float64).ravel()
+    trace = [(0, float(np.abs(g).max()))]
+    for it in range(1, max_iter + 1):
+        if np.abs(g).max() <= tol:
+            return theta, it - 1, tuple(trace)
+        J = jac(theta) if jac is not None else _reference_fd_jacobian(fun, theta, base=g)
+        J = np.atleast_2d(np.asarray(J, dtype=np.float64))
+        if J.shape[0] != J.shape[1]:
+            raise ConfigError(f"{label}: over-identified system")
+        try:
+            step = np.linalg.solve(J, -g)
+        except np.linalg.LinAlgError:
+            raise EstimationError(f"{label}: singular Jacobian at iteration {it}", trace)
+        if not np.isfinite(step).all():
+            raise EstimationError(f"{label}: non-finite Newton step at iteration {it}", trace)
+        norm0 = np.linalg.norm(g)
+        scale = 1.0
+        for _ in range(50):
+            cand = theta + scale * step
+            g_new = np.asarray(fun(cand), dtype=np.float64).ravel()
+            if np.isfinite(g_new).all() and np.linalg.norm(g_new) < max(norm0 * (1.0 - 1e-4 * scale), tol * 0.5):
+                break
+            scale *= 0.5
+        else:
+            raise EstimationError(f"{label}: step halving stalled at iteration {it}", trace)
+        theta, g = cand, g_new
+        trace.append((it, float(np.abs(g).max())))
+    if np.abs(g).max() <= tol:
+        return theta, max_iter, tuple(trace)
+    raise EstimationError(f"{label}: no convergence in {max_iter} iterations", trace)
+
+
+def _reference_solve_gmm(frame, spec):
+    """solve_gmm as it was: a probe call for the moment count, Newton on the
+    mean, then the Jacobian and the scores evaluated again at the root."""
+    from finestrat import GmmFit
+
+    if spec.init is not None:
+        theta0 = np.atleast_1d(np.asarray(spec.init(frame), dtype=np.float64))
+    else:
+        theta0 = np.zeros(spec.dim_theta)
+
+    def gbar(theta):
+        return np.atleast_2d(spec.score(frame, theta)).mean(axis=0)
+
+    jac = None
+    if spec.jacobian is not None:
+        jac = lambda theta: spec.jacobian(frame, theta)
+    probe = np.atleast_2d(spec.score(frame, theta0))
+    if probe.shape[1] != theta0.size:
+        raise ConfigError(f"{spec.name}: only exact identification is supported")
+    theta, iters, trace = _reference_newton_root(gbar, jac, theta0, label=f"gmm[{spec.name}]")
+    G = (spec.jacobian(frame, theta) if spec.jacobian is not None
+         else _reference_fd_jacobian(gbar, theta))
+    G = np.atleast_2d(np.asarray(G, dtype=np.float64))
+    Pi = -np.linalg.inv(G)
+    scores = np.atleast_2d(spec.score(frame, theta))
+    return GmmFit(theta=theta, Pi=Pi, G=G, scores=scores, iterations=iters, trace=trace)
+
+
+def _location_scale(jacobian=None, init=None):
+    """A custom moment: the mean and variance of y, from zeros unless ``init``
+    is given; with no ``jacobian`` Newton takes finite differences."""
+    def score(frame, theta):
+        return np.column_stack([frame.y - theta[0], (frame.y - theta[0]) ** 2 - theta[1]])
+
+    return EstimandSpec(name="location-scale", score=score, jacobian=jacobian, init=init,
+                        dim_theta=2)
+
+
+@pytest.mark.parametrize("name", ["sate", "cate", "late", "clate", "location-scale"])
+def test_solve_gmm_matches_the_mean_based_solver(name):
+    # theta, G, Pi, scores, iterations and trace, bit for bit, at p = 1/2 and 1/3
+    from finestrat import estimand_by_name
+
+    spec = _location_scale() if name == "location-scale" else estimand_by_name(name)
+    gen = np.random.default_rng([26, len(name)])
+    for k in (2, 3):
+        for _ in range(10):
+            frame, _ = _random_design(gen, k, with_w=False)
+            got, want = solve_gmm(frame, spec), _reference_solve_gmm(frame, spec)
+            for field in ("theta", "G", "Pi", "scores"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), field
+            assert (got.iterations, got.trace) == (want.iterations, want.trace)
+            assert got.iterations > 0 or name != "location-scale"
+
+
+def _counting(spec, calls):
+    def score(frame, theta):
+        calls.append("score")
+        return spec.score(frame, theta)
+
+    def jacobian(frame, theta):
+        calls.append("jacobian")
+        return spec.jacobian(frame, theta)
+
+    return EstimandSpec(name=spec.name, score=score, jacobian=jacobian, init=spec.init,
+                        dim_theta=spec.dim_theta)
+
+
+@pytest.mark.parametrize("name", ["sate", "cate", "late", "clate"])
+def test_solve_gmm_scores_a_builtin_estimand_once(name):
+    # Newton starts at the root, so the rows it scores there are the fit's
+    # scores and G is the one Jacobian call
+    from finestrat import estimand_by_name
+
+    calls = []
+    frame, _ = _random_design(np.random.default_rng(27), 2, with_w=False)
+    fit = solve_gmm(frame, _counting(estimand_by_name(name), calls))
+    assert fit.iterations == 0
+    assert sorted(calls) == ["jacobian", "score"]
+
+
+@pytest.mark.parametrize("at_root", [False, True], ids=["newton-step", "at-root"])
+def test_a_custom_jacobian_of_the_wrong_shape_is_refused(at_root):
+    # from a start at the root Newton takes no step, and solve_gmm's own
+    # Jacobian call is the one that must refuse it
+    y = np.random.default_rng(28).standard_normal(20)
+    root = (lambda frame: np.array([y.mean(), np.mean((y - y.mean()) ** 2)])) if at_root else None
+    spec = _location_scale(jacobian=lambda frame, theta: np.ones((2, 1)), init=root)
+    with pytest.raises(ConfigError, match=r"Jacobian has shape \(2, 1\)"):
+        solve_gmm(_frame(np.tile([1, 0], 10), y), spec)

@@ -917,3 +917,172 @@ def test_mean_draws_near_inverse_alpha_at_scale():
                           RngSpec(61, s), max_draws=100000).draw_index
               for s in range(300)]
     assert abs(np.mean(counts) - 500.0) <= 50.0
+
+
+# -- the moment fits on the shared Newton core, against the wrappers they replaced ----
+
+
+def _reference_moment_root(x, score, jac, beta_init, label):
+    from test_gmm import _reference_newton_root
+
+    def fun(beta):
+        return np.atleast_2d(score(x, beta)).mean(axis=0)
+
+    jfun = (lambda b: jac(x, b)) if jac is not None else None
+    beta, _, _ = _reference_newton_root(fun, jfun, beta_init, label=f"moment-fit[{label}]")
+    return beta, fun
+
+
+def _reference_pooled_moment_fit(x, score, jac, beta_init):
+    from test_gmm import _reference_fd_jacobian
+
+    if beta_init is None:
+        beta_init = np.zeros(x.shape[1])
+    beta_init = np.atleast_1d(np.asarray(beta_init, dtype=np.float64))
+    beta, fun = _reference_moment_root(x, score, jac, beta_init, "pooled")
+    G = jac(x, beta) if jac is not None else _reference_fd_jacobian(fun, beta)
+    return beta, np.atleast_2d(np.asarray(G, dtype=np.float64))
+
+
+def _reference_arm_gap(x, d, score, jac, start):
+    beta1, _ = _reference_moment_root(x[d == 1], score, jac, start, "treated")
+    beta0, _ = _reference_moment_root(x[d == 0], score, jac, start, "control")
+    return np.sqrt(x.shape[0]) * (beta1 - beta0), beta1, beta0
+
+
+class _ReferenceGmmRegion(GmmRegion):
+    """GmmRegion bound through the frozen wrappers, and the feasible surrogate
+    scored again at the pooled root."""
+
+    def bind(self, h, partition, p):
+        from dataclasses import replace
+
+        from finestrat.rerandomize import Bound
+
+        pooled, G = _reference_pooled_moment_fit(h, self.score, self.jac, self.beta_init)
+        if self.feasible:
+            base = self.base.bind(np.atleast_2d(self.score(h, pooled)), partition, p)
+            return replace(base, penalty=lambda T: base.penalty(np.linalg.solve(G, T.T).T))
+        base = self.base.fixed(pooled.size)
+
+        def penalty(d):
+            try:
+                gap, _, _ = _reference_arm_gap(h, d, self.score, self.jac, pooled)
+            except EstimationError:
+                return np.inf
+            return float(base.penalty(gap[None])[0])
+
+        return Bound(penalty, base.limit)
+
+
+def _scale_score(mat, beta):
+    x = mat[:, 0]
+    return np.column_stack([x - beta[0], beta[1] - (x - beta[0]) ** 2])
+
+
+def _scale_jac(mat, beta):
+    return np.array([[-1.0, 0.0], [2.0 * np.mean(mat[:, 0] - beta[0]), 1.0]])
+
+
+_MOMENT_MODELS = {
+    "scale-fd": (_scale_score, None, np.array([0.0, 1.0])),
+    "scale-jac": (_scale_score, _scale_jac, np.array([0.0, 1.0])),
+    "location-jac": (lambda mat, beta: mat - beta, lambda mat, beta: -np.eye(mat.shape[1]), None),
+}
+
+
+@pytest.mark.parametrize("model", list(_MOMENT_MODELS))
+def test_gmm_imbalance_matches_the_frozen_wrappers(model):
+    score, jac, beta_init = _MOMENT_MODELS[model]
+    gen = np.random.default_rng(38)
+    n = 40
+    for _ in range(10):
+        h = gen.standard_normal((n, 2)) + 0.5
+        d = assignment_matrix_from_treated(treated_units_batch(_pairs(n).groups, 1, gen, 1), n)[0]
+        stat = gmm_imbalance(_frame(d, h=h), score, jac=jac, beta_init=beta_init)
+        pooled, G = _reference_pooled_moment_fit(h, score, jac, beta_init)
+        value, beta1, beta0 = _reference_arm_gap(h, d, score, jac, pooled)
+        want = {"beta1": beta1, "beta0": beta0, "beta_pooled": pooled, "jacobian": G,
+                "surrogate": np.atleast_2d(score(h, pooled))}
+        assert stat.value.tobytes() == value.tobytes()
+        assert set(stat.extra) == set(want)
+        for key, b in want.items():
+            a = stat.extra[key]
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), key
+
+
+@pytest.mark.parametrize("feasible", [False, True], ids=["exact", "feasible"])
+@pytest.mark.parametrize("model", list(_MOMENT_MODELS))
+def test_gmm_region_penalties_match_the_frozen_wrappers(model, feasible):
+    # exact regions rescore each draw; feasible ones score the surrogate's
+    # statistics in one batch
+    score, jac, beta_init = _MOMENT_MODELS[model]
+    base = MahalanobisRegion(alpha=0.5) if feasible else PolarRegion.ball(2, 3.0)
+    kwargs = dict(score=score, jac=jac, beta_init=beta_init, base=base, feasible=feasible)
+    n = 40
+    part = _pairs(n)
+    for seed in range(4):
+        h = np.random.default_rng([39, seed]).standard_normal((n, 2)) + 0.5
+        got = _batch_penalties(GmmRegion(**kwargs), part, h, RngSpec(40, seed).generator(), 40)
+        want = _batch_penalties(_ReferenceGmmRegion(**kwargs), part, h,
+                                RngSpec(40, seed).generator(), 40)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_propensity_stat_matches_the_mean_based_newton(monkeypatch):
+    # the mean score passed as one row: value, beta, iterations and trace,
+    # bit for bit, and the same refusals on separation
+    from test_gmm import _reference_newton_root
+
+    module = importlib.import_module("finestrat.rerandomize")
+    gen = np.random.default_rng(41)
+    cases = []
+    for n in (8, 12, 40, 40, 200):
+        X = np.column_stack([np.ones(n), gen.standard_normal((n, 2))])
+        for _ in range(6):
+            cases.append((assignment_matrix_from_treated(
+                treated_units_batch(_pairs(n).groups, 1, gen, 1), n)[0], X))
+
+    def run():
+        out = []
+        for d, X in cases:
+            try:
+                stat = propensity_stat(d, X, p=0.5)
+            except EstimationError as err:
+                out.append((str(err), err.trace))
+                continue
+            out.append((stat.value, stat.extra["beta"].tobytes(), stat.extra["iterations"],
+                        stat.extra["trace"]))
+        return out
+
+    got = run()
+
+    def reference(fun, jac, theta0, **kwargs):
+        theta, iters, trace = _reference_newton_root(fun, jac, theta0, **kwargs)
+        return theta, None, iters, trace
+
+    monkeypatch.setattr(module, "newton_root", reference)
+    assert got == run()
+    assert any(len(case) == 2 for case in got) and any(len(case) == 4 for case in got)
+
+
+@pytest.mark.parametrize("jac", [None, _scale_jac], ids=["fd", "jac"])
+def test_feasible_gmm_region_scores_the_pooled_root_once(jac):
+    # the surrogate is the rows Newton stopped on, not a second scoring
+    def score(mat, beta):
+        calls.append((mat.shape[0], beta.tobytes()))
+        return _scale_score(mat, beta)
+
+    calls = []
+    n = 60
+    gen = np.random.default_rng(42)
+    h = gen.standard_normal((n, 1))
+    beta_init = np.array([0.0, 1.0])
+    root = gmm_imbalance(_frame(np.tile([1, 0], n // 2), h=h), score, jac=jac,
+                         beta_init=beta_init).extra["beta_pooled"]
+    del calls[:]
+    region = GmmRegion(score=score, jac=jac, beta_init=beta_init,
+                       base=MahalanobisRegion(alpha=0.5), feasible=True)
+    region.bind(h, _pairs(n), 0.5)
+    assert calls.count((n, root.tobytes())) == 1
+    assert len(calls) > 1  # Newton stepped from beta_init to the root
