@@ -295,9 +295,8 @@ def read_csv(source, columns, id_col, what, optional=()):
                 raise LoadError(f"{what} file: {fault} column '{col}' (file has {header})")
         idx = [header.index(c) for c in names]
         id_idx = None if id_col is None else header.index(id_col)
-        # the ids read so far, a set of them, and the rows they are on (a list
-        # or a range per block), read only to name a repeated id
-        blocks, ids, seen, id_rows, r = [], [], set(), [], 0
+        # each id read so far, in file order, and the row it is on
+        blocks, ids, r = [], {}, 0
 
         def by_rows(records):
             """Read records one by one, checking each as it comes; whether
@@ -305,7 +304,6 @@ def read_csv(source, columns, id_col, what, optional=()):
             nonlocal r
             start = r
             cells, rows = [], []
-            id_rows.append(rows)
             for record in csv_rows(records):
                 r += 1
                 if not record or (len(record) == 1 and not record[0].strip()):
@@ -315,11 +313,10 @@ def read_csv(source, columns, id_col, what, optional=()):
                         f"{what} row {r} has {len(record)} fields, expected {len(header)}")
                 if id_idx is not None:
                     uid = record[id_idx].strip()
-                    if uid in seen:
-                        first = list(chain.from_iterable(id_rows))[ids.index(uid)]
-                        raise LoadError(f"duplicate id {uid!r} in {what} at rows {first} and {r}")
-                    seen.add(uid)
-                    ids.append(uid)
+                    if uid in ids:
+                        raise LoadError(
+                            f"duplicate id {uid!r} in {what} at rows {ids[uid]} and {r}")
+                    ids[uid] = r
                 cells.append([record[j] for j in idx])
                 rows.append(r)
             if cells:
@@ -337,8 +334,7 @@ def read_csv(source, columns, id_col, what, optional=()):
             if _plain(lines, text, len(header)):
                 new = [] if id_idx is None else list(map(str.strip, map(itemgetter(id_idx), map(
                     str.split, lines, repeat(","), repeat(id_idx + 1)))))
-                fresh = set(new)
-                if len(fresh) == len(new) and fresh.isdisjoint(seen):
+                if len(set(new)) == len(new) and ids.keys().isdisjoint(new):
                     try:
                         data = np.loadtxt(lines, delimiter=",", usecols=idx, dtype=np.float64,
                                           comments=None, quotechar=None, ndmin=2)
@@ -348,9 +344,7 @@ def read_csv(source, columns, id_col, what, optional=()):
                 by_rows(csv.reader(lines))
                 continue
             blocks.append(data)
-            ids += new
-            seen |= fresh
-            id_rows.append(range(r + 1, r + 1 + len(lines)))
+            ids.update(zip(new, range(r + 1, r + 1 + len(lines))))
             r += len(lines)
     if not blocks:
         raise LoadError(f"{what} file has no data rows")
@@ -359,7 +353,7 @@ def read_csv(source, columns, id_col, what, optional=()):
         if isinstance(block, LoadError):
             raise block
     data = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return data, (None if id_col is None else np.array(ids))
+    return data, (None if id_col is None else np.array(list(ids)))
 
 
 def role_columns(role_map):

@@ -39,7 +39,7 @@ def treated_slots(G, k, l, gen, size, rows):
     For l >= 2 every round spans all size draws, so the permutation is built
     for all of them before the first chunk: one (size * G, k) row per group
     and draw, in the smallest unsigned dtype that holds k - 1, swapped in
-    blocks of rows * G rows.
+    blocks of max(rows * G, 2**16) rows: few calls per round for few groups.
     """
     chunks = -(-size // rows)
     cuts = [size * c // chunks for c in range(chunks + 1)]
@@ -49,7 +49,7 @@ def treated_slots(G, k, l, gen, size, rows):
         return
     perm = np.empty((size * G, k), dtype=np.min_scalar_type(k - 1))
     perm[:] = np.arange(k)
-    step = rows * G
+    step = max(rows * G, 1 << 16)
     local = np.arange(min(step, size * G))
     for t in range(l):
         for start in range(0, size * G, step):

@@ -703,7 +703,7 @@ def _scorer(bound, partition):
 
         return score
     scale = 1.0 / (np.sqrt(n) * p * (1.0 - p))
-    diff = scale * (S[groups[:, 1:]] - S[groups[:, :1]]).reshape(-1, S.shape[1])
+    diff = scale * (S[groups[:, 1:]] - S[groups[:, :1]]).reshape(G * (k - 1), S.shape[1])
     later = np.arange(1, k)
 
     def score(slots):

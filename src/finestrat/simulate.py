@@ -32,7 +32,7 @@ from .core import (
 )
 from .gmm import estimand_by_name, moment_of
 from .inference import confidence_intervals, variance_components
-from .randomize import draw_complete, draw_stratified
+from .randomize import draw_complete
 from .rerandomize import AcceptanceRegion, FullSpaceRegion, MahalanobisRegion, rerandomize
 from .stratify import MatchConfig, design_partition
 
@@ -180,26 +180,33 @@ def generate_dgp(spec, rng):
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """How to assign treatment: which covariates to match on, which to
-    balance in the accept/reject step, which to adjust on ex post."""
+    """How to assign treatment, as ``assign`` does: match on ``psi_cols`` by
+    ``match``, then redraw until ``h_cols`` balance in ``region`` (none
+    accepts every draw); with neither psi columns nor a region, complete
+    randomization. ``w_cols`` are adjusted on ex post."""
 
     name: str
-    kind: str  # complete | stratified | rerandomized
-    k: int = 2
-    l: int = 1
+    match: MatchConfig = MatchConfig(k=2, l=1)
     psi_cols: tuple = ()
-    psi_weights: tuple | None = None
-    match_method: str = "greedy-nn"
     h_cols: tuple = ()
     w_cols: tuple = ()
     region: AcceptanceRegion | None = None
     max_draws: int = 200_000
 
     def __post_init__(self):
-        if self.kind not in ("complete", "stratified", "rerandomized"):
-            raise ConfigError(f"unknown design kind {self.kind!r}")
-        if self.kind == "rerandomized" and not self.h_cols:
+        if self.region is not None and not self.h_cols:
             raise ConfigError(f"design {self.name!r} rerandomizes but has no h columns")
+        try:
+            if self.psi_cols:
+                self.match.check_dim(len(self.psi_cols))
+            if self.region is not None:
+                self.region.check_dim(len(self.h_cols))
+        except ConfigError as exc:
+            raise ConfigError(f"design {self.name!r}: {exc}") from None
+
+    @property
+    def complete(self):
+        return not self.psi_cols and self.region is None
 
 
 def benchmark_designs(model, dim_r, accept_alpha=1.0 / 500.0, names=("C", "S", "SR")):
@@ -214,11 +221,11 @@ def benchmark_designs(model, dim_r, accept_alpha=1.0 / 500.0, names=("C", "S", "
     if model >= 2:
         weights = (math.sqrt(2.0),) + (1.0,) * (dim_r - 1)
     build = {
-        "C": lambda: DesignSpec(name="C", kind="complete", w_cols=all_cols),
-        "S": lambda: DesignSpec(name="S", kind="stratified", psi_cols=all_cols,
-                                psi_weights=weights, w_cols=all_cols),
-        "SR": lambda: DesignSpec(name="SR", kind="rerandomized", psi_cols=(0,),
-                                 match_method="sorted-1d", h_cols=rest, w_cols=rest,
+        "C": lambda: DesignSpec(name="C", w_cols=all_cols),
+        "S": lambda: DesignSpec(name="S", match=MatchConfig(2, 1, psi_weights=weights),
+                                psi_cols=all_cols, w_cols=all_cols),
+        "SR": lambda: DesignSpec(name="SR", match=MatchConfig(2, 1, method="sorted-1d"),
+                                 psi_cols=(0,), h_cols=rest, w_cols=rest,
                                  region=MahalanobisRegion(alpha=accept_alpha)),
     }
     if not (isinstance(names, (list, tuple)) and names and all(isinstance(w, str) for w in names)):
@@ -230,20 +237,15 @@ def benchmark_designs(model, dim_r, accept_alpha=1.0 / 500.0, names=("C", "S", "
 
 
 def assign_design(design, r, p, rng):
-    """Build the partition and draw the (possibly rerandomized) assignment."""
+    """The partition and the assignment: one group drawn completely, or as ``assign`` draws."""
     gen = as_generator(rng)
-    n = r.shape[0]
-    if design.kind == "complete":
-        draw = draw_complete(n, p, gen)
-        cfg = MatchConfig(k=n, l=int(draw.d.sum()))
+    if design.complete:
+        draw = draw_complete(r.shape[0], p, gen)
+        cfg = MatchConfig(k=r.shape[0], l=int(draw.d.sum()))
         return design_partition(r[:, :0], cfg, gen), draw
-    cfg = MatchConfig(k=design.k, l=design.l, psi_weights=design.psi_weights,
-                      method=design.match_method)
-    partition = design_partition(r[:, list(design.psi_cols)], cfg, gen)
-    if design.kind == "stratified":
-        return partition, draw_stratified(partition, gen)
-    h = r[:, list(design.h_cols)]
-    draw = rerandomize(partition, h, design.region, gen, max_draws=design.max_draws)
+    partition = design_partition(r[:, list(design.psi_cols)], design.match, gen)
+    draw = rerandomize(partition, r[:, list(design.h_cols)], design.region, gen,
+                       max_draws=design.max_draws)
     return partition, draw
 
 
@@ -261,20 +263,23 @@ def check_estimand(estimand, dgp):
 
 def check_designs(designs, dgp):
     """Refuse, before anything is drawn, a design that does not fit the DGP:
-    p must be l/k (for complete randomization, n*p must be whole), and where
-    strata collapse the group count must be even."""
+    complete randomization needs a whole n*p in (0, n); any other design
+    p = l/k, n divisible by k and, where matched strata collapse, even n/k."""
     n, p = dgp.n, dgp.p
     for design in designs:
-        if design.kind == "complete":
-            if abs(n * p - round(n * p)) > 1e-9:
+        k, l = design.match.k, design.match.l
+        if design.complete:
+            if abs(n * p - round(n * p)) > 1e-9 or not 0 < round(n * p) < n:
                 raise ConfigError(f"p = {p!r} does not fit design {design.name!r}: "
-                                  f"n*p = {n * p!r} units is not a whole number")
-        elif p != design.l / design.k:
+                                  f"n*p = {n * p!r} units is not a whole number in (0, n)")
+        elif p != l / k:
             raise ConfigError(f"p = {p!r} does not fit design {design.name!r}, "
-                              f"which treats {design.l} of every {design.k} units")
-        else:
+                              f"which treats {l} of every {k} units")
+        elif n % k:
+            raise ConfigError(f"design {design.name!r}: n={n} not divisible by k={k}")
+        elif design.psi_cols:
             try:
-                collapsed_strata(n, design.k, design.l)
+                collapsed_strata(n, k, l)
             except ConfigError as exc:
                 raise ConfigError(f"design {design.name!r}: {exc}") from None
 
@@ -593,7 +598,7 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", ci_alpha=0.
                 **shared,
             })
     # the unadjusted row of the complete design (else the first) is the unit
-    base_name = next((d.name for d in designs if d.kind == "complete"), designs[0].name)
+    base_name = next((d.name for d in designs if d.complete), designs[0].name)
     base = next(r for r in rows if r["design"] == base_name)
     for row in rows:
         row["mse_ratio"] = round(row["mse"] / base["mse"], 6)

@@ -591,6 +591,39 @@ def test_assign_estimate_without_psi(workspace):
     assert report["flags"]["collapsed_strata"] is False
 
 
+@pytest.mark.parametrize("k, l", [(2, 1), (4, 2)])
+def test_assign_estimate_without_h(tmp_path, k, l):
+    # only psi and id roles: pure stratification, scored with no balance column
+    gen = np.random.default_rng(5)
+    cov = tmp_path / "cov.csv"
+    values = gen.standard_normal(40).tolist()
+    cov.write_text("unit,baseline\n" + "".join(f"u{i},{v!r}\n" for i, v in enumerate(values)))
+    spec_path = tmp_path / "design.json"
+    spec_path.write_text(json.dumps({"roles": {"unit": "id", "baseline": "psi"},
+                                     "k": k, "l": l, "seed": 3}))
+    out = tmp_path / "assign.csv"
+    assert main(["assign", "--spec", str(spec_path), "--data", str(cov),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "assign.csv.manifest.json").read_text())
+    assert manifest["draws_to_accept"] == 1
+    with open(out) as fh:
+        assign = list(csv.DictReader(fh))
+    groups = {}
+    for r in assign:
+        groups.setdefault(r["group"], []).append(int(r["d"]))
+    assert len(groups) == 40 // k
+    assert all(len(g) == k and sum(g) == l for g in groups.values())
+    outcomes = tmp_path / "y.csv"
+    outcomes.write_text("id,y\n" + "".join(f"{r['id']},{3.25 if r['d'] == '1' else 1.0}\n"
+                                            for r in assign))
+    report_path = tmp_path / "report.json"
+    assert main(["estimate", "--manifest", str(out) + ".manifest.json", "--data", str(cov),
+                 "--outcomes", str(outcomes), "--out", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    assert report["theta_hat"][0] == pytest.approx(2.25)
+    assert report["flags"]["draws_to_accept"] == 1
+
+
 def test_simulate_failures_exit_1_with_message(tmp_path, capsys):
     # four units cannot identify five adjustment coefficients: most
     # replicates fail, and the run reports it instead of a traceback

@@ -470,6 +470,28 @@ def test_full_space_accepts_first_draw():
     assert draw.draw_index == 1 and draw.accepted
 
 
+@pytest.mark.parametrize("shape", [(40, 2, 1), (40, 4, 2), (40, 40, 20)])
+def test_no_balance_columns_accept_the_first_draw(shape):
+    # h with no columns: T has no coordinate, and the full space takes the first draw
+    n, k, l = shape
+    part = _random_partition(n, k, l, 55)
+    draw = rerandomize(part, np.zeros((n, 0)), None, RngSpec(56))
+    assert (draw.draw_index, draw.accepted, draw.penalty) == (1, True, 0.0)
+    assert (draw.d[part.groups].sum(axis=1) == l).all()
+
+
+@pytest.mark.parametrize("shape", [(400, 2, 1), (399, 3, 1)])
+def test_no_balance_columns_draw_what_draw_stratified_draws(shape):
+    # at l = 1 the first draw of a 512-draw batch is the one draw of
+    # draw_stratified from the same stream: a design with no balance columns
+    # draws through rerandomize what pure stratification draws
+    n, k, l = shape
+    part = _random_partition(n, k, l, 57)
+    for seed in range(60):
+        draw = rerandomize(part, np.zeros((n, 0)), None, RngSpec(58, seed))
+        np.testing.assert_array_equal(draw.d, draw_stratified(part, RngSpec(58, seed)).d)
+
+
 def test_expected_draws_tracks_alpha():
     n = 200
     gen = np.random.default_rng(15)

@@ -9,6 +9,7 @@ from finestrat import (
     EstimationError,
     FullSpaceRegion,
     MahalanobisRegion,
+    MatchConfig,
     PolarRegion,
     PropensityRegion,
     RngSpec,
@@ -342,14 +343,38 @@ def test_constant_effect_recovered_exactly_by_every_design():
         assert adj.theta_adj[0] == pytest.approx(tau, abs=1e-12)
 
 
+def test_design_spec_draws_as_assign_does():
+    # a design is complete only with neither psi columns nor a region; a
+    # region with no psi columns rerandomizes one group of all units
+    from finestrat import DesignSpec, assign_design, simulate
+
+    assert DesignSpec(name="C").complete
+    one_group = DesignSpec(name="R", match=MatchConfig(4, 2), h_cols=(0, 1),
+                           region=MahalanobisRegion(alpha=0.5))
+    assert not one_group.complete
+    with pytest.raises(ConfigError, match="design 'R': n=42 not divisible by k=4"):
+        simulate.check_designs([one_group], DgpSpec(model=1, dim_r=2, n=42))
+    simulate.check_designs([one_group], DgpSpec(model=1, dim_r=2, n=40))
+    r = np.random.default_rng(17).standard_normal((40, 2))
+    part, draw = assign_design(one_group, r, 0.5, RngSpec(18))
+    assert (part.n_groups, part.k, part.l) == (1, 40, 20)
+    assert draw.accepted and draw.d.sum() == 20
+    # the match config and the region are checked against the columns at construction
+    with pytest.raises(ConfigError, match="design 'X': sorted-1d"):
+        DesignSpec(name="X", match=MatchConfig(2, 1, method="sorted-1d"), psi_cols=(0, 1))
+    with pytest.raises(ConfigError, match="design 'X': region built for 2"):
+        DesignSpec(name="X", h_cols=(0,), region=PolarRegion.ball(dim=2, eps=1.0))
+    with pytest.raises(ConfigError, match="design 'X' rerandomizes but has no h columns"):
+        DesignSpec(name="X", psi_cols=(0,), region=FullSpaceRegion())
+
+
 def test_run_monte_carlo_failure_policy():
     # duplicated balance columns make the quadratic region singular in every
     # replicate: the run must fail loudly with the failure count
     from finestrat import DesignSpec
 
-    bad = DesignSpec(name="BAD", kind="rerandomized", psi_cols=(0,),
-                     match_method="sorted-1d", h_cols=(1, 1), w_cols=(1,),
-                     region=MahalanobisRegion(alpha=0.5))
+    bad = DesignSpec(name="BAD", match=MatchConfig(2, 1, method="sorted-1d"), psi_cols=(0,),
+                     h_cols=(1, 1), w_cols=(1,), region=MahalanobisRegion(alpha=0.5))
     dgp = DgpSpec(model=1, dim_r=3, n=40)
     with pytest.raises(RuntimeError, match="replicates failed"):
         run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1))
@@ -361,9 +386,8 @@ def test_run_monte_carlo_groups_failure_reasons(monkeypatch):
     # the error names the counts per type, whatever the workers
     from finestrat import DesignSpec, simulate
 
-    bad = DesignSpec(name="BAD", kind="rerandomized", psi_cols=(0,),
-                     match_method="sorted-1d", h_cols=(1, 1), w_cols=(1,),
-                     region=MahalanobisRegion(alpha=0.5))
+    bad = DesignSpec(name="BAD", match=MatchConfig(2, 1, method="sorted-1d"), psi_cols=(0,),
+                     h_cols=(1, 1), w_cols=(1,), region=MahalanobisRegion(alpha=0.5))
     dgp = DgpSpec(model=1, dim_r=3, n=40)
     messages = []
     for threads in (1, 2):
