@@ -54,6 +54,7 @@ from .gmm import EstimandSpec, newton_root, solve_gmm
 from .randomize import (
     AssignmentDraw,
     assignment_matrix_from_treated,
+    skip_integers,
     treated_slots,
 )
 
@@ -647,7 +648,7 @@ def _batch_penalties(region, partition, h, gen, draws):
     """Penalties of `draws` fresh stratified draws."""
     bound = _bind(region, partition, h)
     score = _scorer(bound, partition)
-    return np.concatenate([score(slots) for chunks in _slot_batches(bound, partition, gen, draws)
+    return np.concatenate([score(slots) for _, chunks in _slot_batches(bound, partition, gen, draws)
                            for slots in chunks])
 
 
@@ -657,25 +658,30 @@ _CHUNK_BYTES = 8 << 20
 
 def _slot_batches(bound, partition, gen, draws):
     """Draw `draws` fresh stratified draws in batches of 32 (assignment-based
-    regions) or 512 (stat-based regions); yields each batch's treated_slots
-    iterator over chunks of its draws. Each iterator must be exhausted before
-    the next batch is drawn.
+    regions) or 512 (stat-based regions); yields each batch's size and its
+    treated_slots iterator over chunks of its draws. Before the next batch
+    is drawn, each iterator must be exhausted or, for l = 1, its rest jumped
+    over as treated_slots says.
 
     The batch is the unit of the generator stream: every batch is one
     treated_units_batch call, whatever its chunks. The chunks bound the work
     inside a batch to _CHUNK_BYTES, or one draw if that is more. Per group
-    and draw the scoring kernel holds int64 slot indices (8 bytes for l = 1,
-    8 l for the put_along_axis index at l >= 2), a bool mask (k) and the
-    float64 mask - p (8 (k - 1)), at most 9 k + 8 (l - 1) bytes. So memory
-    does not grow as 512 n: for l = 1 nothing spans the batch, and for
-    l >= 2 only the batch's one-byte-per-unit slot permutation does.
+    and draw the scoring kernel holds slot indices (for l = 1, 4-byte PCG64
+    words shifted in place into slots for a power of two k, plus a 4-byte
+    copy after a held half word, else int64: at most 8 bytes; 8 l for the
+    put_along_axis index at l >= 2),
+    a bool mask (k) and the float64 mask - p (8 (k - 1)), at most
+    9 k + 8 (l - 1) bytes. So memory does not grow as 512 n: for l = 1
+    nothing spans the batch, and for l >= 2 only the batch's
+    one-byte-per-unit slot permutation does.
     """
     G, k = partition.groups.shape
     l = partition.l
     batch = 32 if bound.stats is None else 512
     rows = max(1, _CHUNK_BYTES // (G * (9 * k + 8 * (l - 1))))
     for start in range(0, draws, batch):
-        yield treated_slots(G, k, l, gen, min(batch, draws - start), rows)
+        size = min(batch, draws - start)
+        yield size, treated_slots(G, k, l, gen, size, rows)
 
 
 def _scorer(bound, partition):
@@ -702,6 +708,10 @@ def _scorer(bound, partition):
                             dtype=np.float64)
 
         return score
+    if S.shape[1] == 0:
+        # nothing to balance (the full-space region): no mask, no GEMM
+        return lambda slots: np.asarray(bound.penalty(np.empty((slots.shape[0], 0))),
+                                        dtype=np.float64)
     scale = 1.0 / (np.sqrt(n) * p * (1.0 - p))
     diff = scale * (S[groups[:, 1:]] - S[groups[:, :1]]).reshape(G * (k - 1), S.shape[1])
     later = np.arange(1, k)
@@ -709,7 +719,7 @@ def _scorer(bound, partition):
     def score(slots):
         B = slots.shape[0]
         if l == 1:
-            mask = slots == later
+            mask = slots == later.astype(slots.dtype)  # no per-element cast
         else:
             # an equality compare would take B * n * l bytes for large groups
             mask = np.zeros((B, G, k), dtype=bool)
@@ -738,14 +748,14 @@ def rerandomize(partition, h, region, rng, max_draws=100_000):
     n = partition.n
     bound = _bind(region, partition, h)
     score = _scorer(bound, partition)
+    G, k = partition.groups.shape
     scored = []
     best = (np.inf, 0, None)  # penalty, 1-based draw index, treated units
-    done = 0
+    done = end = 0
     accepted = False
-    for chunks in _slot_batches(bound, partition, gen, max_draws):
+    for size, chunks in _slot_batches(bound, partition, gen, max_draws):
+        end += size
         for slots in chunks:
-            if accepted:
-                continue  # drawn unscored, so the stream ends where the whole batch does
             pens = score(slots)
             hits = np.flatnonzero(bound.accepts(pens))
             accepted = hits.size > 0
@@ -755,7 +765,14 @@ def rerandomize(partition, h, region, rng, max_draws=100_000):
                 best = (float(pens[b]), done + b + 1, units)
             scored.append(pens[:b + 1] if accepted else pens)
             done += pens.size
+            if accepted:
+                break
         if accepted:
+            # the stream ends where the whole batch does: the unscored rest
+            # is jumped over where its word count is fixed, else drawn
+            if not (partition.l == 1 and skip_integers(gen, 0, k, (end - done) * G)):
+                for _ in chunks:
+                    pass
             break
     penalty, index, units = best
     d = assignment_matrix_from_treated(units[None], n)[0]

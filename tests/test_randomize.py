@@ -10,6 +10,7 @@ from finestrat import (
     draw_complete,
     draw_stratified,
 )
+from finestrat.randomize import _integers, _word_source, skip_integers
 
 
 def _pairs_partition(n):
@@ -94,3 +95,60 @@ def test_within_group_marginal_binomial_bound():
         counts += draw_stratified(part, gen).d
     se = np.sqrt(0.25 * 0.75 / reps)
     assert np.all(np.abs(counts / reps - 0.25) < 3 * se + 1e-9)
+
+
+# -- the PCG64 word source against Generator.integers ----------------------
+
+_RANGES = [(0, 2), (0, 3), (1, 4), (0, 4), (2, 4), (0, 8), (3, 7), (0, 64)]
+
+
+def _primed_pair(held):
+    # two equal generators after `held` one-bit draws: an odd count leaves
+    # the high half of an output held for the next call
+    gens = RngSpec(60, held).generator(), RngSpec(60, held).generator()
+    for gen in gens:
+        gen.integers(0, 2, size=held)
+    return gens
+
+
+@pytest.mark.parametrize("low,high", _RANGES)
+@pytest.mark.parametrize("held", range(4))
+def test_word_source_matches_integers(low, high, held):
+    gen, ref = _primed_pair(held)
+    # each size alone, then odd sizes chained so every call starts on
+    # both a held and a fresh half
+    for size in (0, 1, 2, 3, 7, 1000, 4651, (3, 5), (7, 1), 0, 1, 3):
+        values = _integers(gen, low, high, size)
+        expect = ref.integers(low, high, size=size)
+        assert values.shape == expect.shape
+        np.testing.assert_array_equal(values, expect)
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("held", range(4))
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 10, 11, 4651, 4652])
+def test_jump_lands_where_the_draw_would(held, count):
+    for high in (2, 4, 64):
+        gen, ref = _primed_pair(held)
+        assert skip_integers(gen, 0, high, count)
+        ref.integers(0, high, size=count)
+        assert gen.bit_generator.state == ref.bit_generator.state
+        np.testing.assert_array_equal(_integers(gen, 0, 3, 9), ref.integers(0, 3, size=9))
+
+
+def test_other_ranges_and_generators_keep_integers():
+    # the fallback is integers itself, and a jump declines without drawing
+    gen = RngSpec(61).generator()
+    state = gen.bit_generator.state
+    assert not skip_integers(gen, 0, 3, 100)
+    assert gen.bit_generator.state == state
+    for bit_generator in (np.random.Philox(62), np.random.MT19937(62)):
+        gen = np.random.Generator(bit_generator)
+        assert _word_source(gen, 0, 2) is None
+        assert not skip_integers(gen, 0, 2, 100)
+
+
+def test_rng_spec_takes_the_word_source():
+    # the fast path is what every RngSpec draw of pairs goes through
+    assert _word_source(RngSpec(63, 2).generator(), 0, 2) is not None
+    assert _word_source(RngSpec(63).generator(), 0, 4) is not None

@@ -790,6 +790,49 @@ def test_one_batch_holds_a_fixed_budget(k, l):
     assert peak < 48e6
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
+def test_other_bit_generators_keep_the_pinned_stream(bit_generator):
+    # no word source outside PCG64: integers draws every slot and the rest
+    # of an accepted batch is drawn, not jumped over (their states hold arrays)
+    n = 60
+    h = np.random.default_rng(54).standard_normal((n, 3))
+    region = MahalanobisRegion(alpha=0.05)
+    for k, l in ((2, 1), (3, 1), (4, 2)):
+        part = _random_partition(n, k, l, 55)
+        for size in (1, 7, 512):
+            gen, ref_gen = np.random.Generator(bit_generator(56)), np.random.Generator(bit_generator(56))
+            np.testing.assert_array_equal(treated_units_batch(part.groups, l, gen, size),
+                                          _pinned_treated_units_batch(part.groups, l, ref_gen, size))
+            np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+        for seed in range(10):
+            gen, ref_gen = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+            draw = rerandomize(part, h, region, gen, max_draws=1100)
+            index, d, accepted = _reference_rerandomize(region, part, h, ref_gen, 1100)
+            assert (draw.draw_index, draw.accepted) == (index, accepted)
+            np.testing.assert_array_equal(draw.d, d)
+            np.testing.assert_equal(gen.bit_generator.state, ref_gen.bit_generator.state)
+
+
+def test_drawn_rest_of_a_batch_holds_the_budget():
+    # k = 3 cannot jump: the rest of an accepted batch is drawn chunk by
+    # chunk, not in one int64 call of 511 * G slots (54 MB here)
+    n = 39_999
+    h = np.random.default_rng(57).standard_normal((n, 5))
+    part = _random_partition(n, 3, 1, 58)
+    gen = RngSpec(59).generator()
+    tracemalloc.start()
+    try:
+        draw = rerandomize(part, h, FullSpaceRegion(), gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ref_gen = RngSpec(59).generator()
+    ref_gen.integers(0, 3, size=(512, n // 3))
+    assert draw.draw_index == 1 and draw.penalties.size == 1
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+    assert peak < 48e6
+
+
 def test_rerandomize_reproducible():
     part = _pairs(30)
     h = np.random.default_rng(24).standard_normal((30, 3))
