@@ -15,6 +15,7 @@ import csv
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -502,16 +503,14 @@ def _one_replicate(dgp, designs, estimand, ci_alpha, seed, theta0, rep):
     return record
 
 
-def _worker(common, reps):
-    results = []
-    for rep in reps:
-        try:
-            results.append((rep, _one_replicate(*common, rep)))
-        except ConfigError:
-            raise  # a design error repeats in every replicate
-        except Exception as exc:  # noqa: BLE001 - failure policy counts and reports
-            results.append((rep, (type(exc).__name__, str(exc))))
-    return results
+def _replicate(common, rep):
+    """One replicate's record, or its failure as (exception type, message)."""
+    try:
+        return _one_replicate(*common, rep)
+    except ConfigError:
+        raise  # a design error repeats in every replicate
+    except Exception as exc:  # noqa: BLE001 - failure policy counts and reports
+        return type(exc).__name__, str(exc)
 
 
 def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", ci_alpha=0.05,
@@ -540,22 +539,22 @@ def run_monte_carlo(designs, dgp, replicates, seed, estimand="sate", ci_alpha=0.
         theta0 = population_target(dgp, estimand)
     theta0 = np.atleast_1d(np.asarray(theta0, dtype=np.float64))
 
-    # replicates are seeded by index, so sorting by it makes the aggregate
-    # (every float included) independent of the worker count
+    # replicates are seeded by index and mapped in order, so the aggregate
+    # (every float included) does not depend on the worker count; workers
+    # take small chunks as they come free, so a slower core holds up less
     workers = min(threads, replicates)
-    common = (dgp, tuple(designs), estimand, ci_alpha, seed, theta0)
-    chunks = [range(i, replicates, workers) for i in range(workers)]
+    one = partial(_replicate, (dgp, tuple(designs), estimand, ci_alpha, seed, theta0))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # loads only here
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_worker, [common] * workers, chunks))
+            results = list(pool.map(one, range(replicates),
+                                    chunksize=max(1, replicates // (8 * workers))))
     else:
-        parts = [_worker(common, chunks[0])]
-    results = sorted((item for part in parts for item in part), key=lambda t: t[0])
+        results = list(map(one, range(replicates)))
 
-    records = [r for _, r in results if isinstance(r, np.ndarray)]
-    failures = [(rep, r) for rep, r in results if not isinstance(r, np.ndarray)]
+    records = [r for r in results if isinstance(r, np.ndarray)]
+    failures = [(rep, r) for rep, r in enumerate(results) if not isinstance(r, np.ndarray)]
     reasons = {}
     for _, (kind, message) in failures:
         reasons.setdefault(kind, {"count": 0, "first": message})["count"] += 1

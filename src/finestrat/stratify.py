@@ -18,9 +18,10 @@ from .core import ConfigError, GroupPartition, as_generator, as_matrix, collapse
 
 _METHODS = ("greedy-nn", "sorted-1d", "random-within-cell")
 # the most points in two or more columns that _greedy_groups scans a distance
-# table for (at most 0.8 MB); more go to a k-d tree. Up to here a scan takes
-# 0.7-1.05 times the tree's time per call in 2-5 columns, and needs no SciPy
-# (about 0.3 s to load); at 384 points it takes 1.04-1.18 times, at 512 1.26-1.33
+# table for (at most 0.8 MB); more go to a k-d tree. At 320 points a scan takes
+# 0.9-1.0 times the tree's time per call in 3 and 5 columns, and needs no
+# SciPy (about 0.3 s to load); at 640 and 1000 points it takes 1.5-1.6 times,
+# at 2000 2.8-3.1 (best of 9, the two interleaved, SciPy loaded)
 _SCAN_MAX_POINTS = 320
 
 
@@ -54,19 +55,32 @@ class MatchConfig:
             raise ConfigError("sorted-1d matching requires a single psi column")
 
 
+def _squared(points, a, b):
+    """Exact squared distances between the points indexed by a and by b
+    (broadcast), the squares added column by column in order, so every call
+    gives the same bits."""
+    cols = points.T
+    ex = np.square(cols[0][a] - cols[0][b])
+    for col in cols[1:]:
+        ex += np.square(col[a] - col[b])
+    return ex
+
+
 def _ranked(points, rows, idx, bound, alive):
     """Sort each row's candidates idx by (exact squared distance, index),
     keeping the entries below the row's bound and dropping the row itself
-    and matched points. The squares are added column by column in order, so
-    every call gives the same bits."""
-    ex = np.square(points[rows, None, 0] - points[idx, 0])
-    for c in range(1, points.shape[1]):
-        ex += np.square(points[rows, None, c] - points[idx, c])
+    and matched points, as Python lists."""
+    ex = _squared(points, rows[:, None], idx)
     ex[(idx == rows[:, None]) | (alive[idx] == 0)] = np.inf
     order = np.arange(rows.size)[:, None], np.lexsort((idx, ex))
     idx, ex = idx[order], ex[order]
-    kept = (ex < bound).sum(axis=1).tolist()
-    return [r[:c] for r, c in zip(idx, kept)], [r[:c] for r, c in zip(ex, kept)]
+    kept = (ex < bound).sum(axis=1)
+    # rows mostly keep one count: cut at the least in one call, then lengthen the rest
+    c = kept.min()
+    cand, dist = idx[:, :c].tolist(), ex[:, :c].tolist()
+    for r in np.flatnonzero(kept > c).tolist():
+        cand[r], dist[r] = idx[r, :kept[r]].tolist(), ex[r, :kept[r]].tolist()
+    return cand, dist
 
 
 class _TreeSource:
@@ -108,39 +122,60 @@ class _TreeSource:
 
 
 class _ScanSource:
-    """Candidates from one table of every exact squared distance, added
-    column by column as `_ranked` adds them, so each bound is exact. For few
-    points a scan of the table costs about what a k-d tree's queries do, and
-    needs no SciPy; the table is n * n * 8 bytes."""
+    """Candidates from one table of every squared distance, through the Gram
+    identity |a|^2 + |b|^2 - 2 a.b on the column-centred points: one matrix
+    product. The table only filters; `_ranked` ranks by the exact distances,
+    which alone decide. For few points a scan of the table costs about what a
+    k-d tree's queries do, and needs no SciPy; the table is n * n * 8 bytes.
+
+    Each bound is a table value less a slack that covers the rounding of
+    both. With u = 2**-53, d columns and s_i the squared norm of centred
+    point i, entry (i, j) differs from the real squared distance of the
+    given points by at most 4u(s_i + s_j) from centring, 2du(s_i + s_j) from
+    the norms and the product (Higham 2002, 3.1, in any order of summation)
+    and 4u(s_i + s_j) from the two additions; `_ranked`'s sum differs from
+    it by at most 2(d + 2)u(s_i + s_j), to first order in du. That is
+    4(d + 3)u(s_i + s_j) in all, and the slack, 16(d + 4)u(s_i + max_j s_j),
+    is over four times it. Near underflow each product may also be off by
+    half the least subnormal, which the slack's added 16(d + 4) * 2**-1074
+    covers. Where the norms overflow, the slack is inf or nan, no candidate
+    is kept, and each point asks `around` again."""
 
     def __init__(self, points, alive):
-        self.alive, cols = alive, points.T.copy()
-        self.table = np.subtract.outer(cols[0], cols[0])
-        np.square(self.table, out=self.table)
-        step = np.empty_like(self.table)
-        for c in cols[1:]:
-            self.table += np.square(np.subtract.outer(c, c, out=step), out=step)
+        self.points, self.alive = points, alive
+        c = points - points.mean(axis=0)
+        sq = np.einsum("ij,ij->i", c, c)
+        self.table = c @ c.T
+        self.table *= -2.0
+        self.table += sq[:, None]
+        self.table += sq
+        self.slack = 16 * (points.shape[1] + 4) * (2.0**-53 * (sq + sq.max()) + 2.0**-1074)
         self.rebuild()
 
     def rebuild(self):
         self.where = np.flatnonzero(self.alive)
 
     def near(self, rows, K):
-        """Each row's K nearest points, and its bound: the (K+1)-th distance."""
+        """Each row's at most K points below its (K+1)-th table value, padded
+        with the row itself, and its bound: that value less the slack."""
         m = self.where.size
         if K >= m:
             return np.broadcast_to(self.where, (rows.size, m)), np.inf
-        # before the first match every point is listed in order: scan the table in place
+        # before the first match every point is listed in order: no submatrix to copy
         whole = m == len(self.table) and np.array_equal(rows, self.where)
         sub = self.table if whole else self.table[np.ix_(rows, self.where)]
-        part = np.argpartition(sub, K, axis=1)
-        return self.where[part[:, :K]], np.take_along_axis(sub, part[:, K:K + 1], axis=1)
+        cut = np.partition(sub, K, axis=1)[:, K:K + 1]
+        r, c = np.divmod(np.flatnonzero(sub < cut), m)
+        counts = np.bincount(r, minlength=rows.size)
+        idx = np.repeat(rows[:, None], K, axis=1)
+        idx[r, np.arange(r.size) - np.repeat(np.cumsum(counts) - counts, counts)] = self.where[c]
+        return idx, cut - self.slack[rows, None]
 
     def around(self, i, K):
-        """Every point at or below point i's K-th distance, and the bound."""
-        row = self.table[i, self.where]
-        if K >= row.size:
+        """Every point at or below point i's K-th exact distance, and the bound."""
+        if K >= self.where.size:
             return self.where[None, :], np.inf
+        row = _squared(self.points, i, self.where)
         r = np.partition(row, K - 1)[K - 1]
         return self.where[None, row <= r], np.nextafter(r, np.inf)
 
@@ -282,7 +317,7 @@ def _greedy_groups(points, k):
         if not len(cand[i]):  # ties at the end of the list hide the nearest
             refill(i, 1)
     nn = [row[0] for row in cand]
-    nnd = [float(row[0]) for row in cdist]
+    nnd = [row[0] for row in cdist]
     rev = [[] for _ in range(n)]
     for i, j in enumerate(nn):
         rev[j].append(i)
@@ -298,7 +333,7 @@ def _greedy_groups(points, k):
         near = list(islice((j for j in islice(cand[a], ptr[a], None) if alive[j]), k - 1))
         if len(near) < k - 1:
             refill(a, k - 1)
-            near = list(cand[a][:k - 1])
+            near = cand[a][:k - 1]
         members = [a] + near
         for j in members:
             alive[j] = 0
@@ -317,7 +352,7 @@ def _greedy_groups(points, k):
                     refill(i, 1)
                     p = 0
                 ptr[i] = p
-                nn[i], d = cand[i][p], float(cdist[i][p])
+                nn[i], d = cand[i][p], cdist[i][p]
                 rev[nn[i]].append(i)
                 if d != nnd[i]:
                     nnd[i] = d

@@ -282,11 +282,12 @@ def test_to_csv_writes_the_same_bytes_to_a_path_and_a_handle(tmp_path):
 def test_run_monte_carlo_threads_match_serial(threads):
     dgp = DgpSpec(model=1, dim_r=2, n=40)
     designs = benchmark_designs(1, 2, accept_alpha=0.2)
-    r1 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=1)
-    r2 = run_monte_carlo(designs, dgp, replicates=100, seed=5, threads=threads)
-    assert r1.rows == r2.rows
-    assert r1.meta == r2.meta
-    assert (r1.workers, r2.workers) == (1, threads)
+    for replicates in (100, 101):  # at 101 the last chunk is short
+        r1 = run_monte_carlo(designs, dgp, replicates=replicates, seed=5, threads=1)
+        r2 = run_monte_carlo(designs, dgp, replicates=replicates, seed=5, threads=threads)
+        assert r1.rows == r2.rows
+        assert r1.meta == r2.meta
+        assert (r1.workers, r2.workers) == (1, threads)
 
 
 def test_run_monte_carlo_cate_reports_the_slope_whatever_the_workers():
@@ -376,8 +377,10 @@ def test_run_monte_carlo_failure_policy():
     bad = DesignSpec(name="BAD", match=MatchConfig(2, 1, method="sorted-1d"), psi_cols=(0,),
                      h_cols=(1, 1), w_cols=(1,), region=MahalanobisRegion(alpha=0.5))
     dgp = DgpSpec(model=1, dim_r=3, n=40)
-    with pytest.raises(RuntimeError, match="replicates failed"):
-        run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1))
+    for threads in (1, 2, 3):
+        with pytest.raises(RuntimeError, match="replicates failed"):
+            run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1),
+                            threads=threads)
 
 
 def test_run_monte_carlo_groups_failure_reasons(monkeypatch):
@@ -390,13 +393,13 @@ def test_run_monte_carlo_groups_failure_reasons(monkeypatch):
                      h_cols=(1, 1), w_cols=(1,), region=MahalanobisRegion(alpha=0.5))
     dgp = DgpSpec(model=1, dim_r=3, n=40)
     messages = []
-    for threads in (1, 2):
+    for threads in (1, 2, 3):
         with pytest.raises(EstimationError, match="100 of 100 replicates failed") as err:
             run_monte_carlo([bad], dgp, replicates=100, seed=3, theta0=np.zeros(1),
                             max_failure_share=1.0, threads=threads)
         messages.append(str(err.value))
     assert "x100" in messages[0]
-    assert messages[0] == messages[1]
+    assert messages[0] == messages[1] == messages[2]
 
     # a design step failing on a seeded subset of replicates (forked workers
     # inherit the patch): the survivors are aggregated, the reasons kept
@@ -408,16 +411,35 @@ def test_run_monte_carlo_groups_failure_reasons(monkeypatch):
         return assign(design, r, p, rng)
 
     monkeypatch.setattr(simulate, "assign_design", flaky)
+    # and whole replicates failing on both sides of the chunk boundaries of
+    # 2 and 3 workers (chunks of 6 and 4 replicates), and at the last one
+    one_replicate = simulate._one_replicate
+    straddle = {0, 3, 4, 5, 6, 11, 12, 23, 24, 48, 95, 96, 99}
+
+    def failing(*args):
+        if args[-1] in straddle:
+            raise ZeroDivisionError(f"replicate {args[-1]}")
+        return one_replicate(*args)
+
+    monkeypatch.setattr(simulate, "_one_replicate", failing)
     ok = benchmark_designs(1, 3)[0]
     results = [run_monte_carlo([ok], dgp, replicates=100, seed=3, theta0=np.zeros(1),
                                max_failure_share=1.0, threads=threads)
-               for threads in (1, 2)]
+               for threads in (1, 2, 3)]
     reasons = results[0].meta["failure_reasons"]
-    assert list(reasons) == ["FloatingPointError"]
-    assert 0 < reasons["FloatingPointError"]["count"] == results[0].failures < 100
+    assert list(reasons) == ["ZeroDivisionError", "FloatingPointError"]
+    assert reasons["ZeroDivisionError"] == {"count": len(straddle), "first": "replicate 0"}
+    assert 0 < reasons["FloatingPointError"]["count"] < 100 - len(straddle)
     assert reasons["FloatingPointError"]["first"].startswith("first unit at ")
-    assert results[0].meta == results[1].meta
-    assert results[0].rows == results[1].rows
+    assert results[0].failures == sum(r["count"] for r in reasons.values())
+    assert straddle <= set(results[0].meta["failed_reps"])
+    for other in results[1:]:
+        assert other.meta == results[0].meta
+        assert other.rows == results[0].rows
+        assert other.errors.keys() == results[0].errors.keys()
+        for name, by_estimator in results[0].errors.items():
+            for estimator, err in by_estimator.items():
+                np.testing.assert_array_equal(other.errors[name][estimator], err)
     assert all(np.isfinite(row["mse"]) for row in results[0].rows)
 
 

@@ -211,31 +211,47 @@ def test_greedy_without_columns_groups_by_index(k):
     assert part.homogeneity == 0.0
 
 
+def _hard_points(gen, n):
+    """Inputs on which a rounding margin may be too thin: far from the origin
+    in 3 and 5 columns, a 4-value grid in 5 columns (ties), and points
+    1e8 from the origin and about 1 apart, where a Gram table of the raw
+    points would lose every digit, and one of the centred points few."""
+    return (1e6 + 1e3 * gen.standard_normal((n, 3)), 1e6 + 1e3 * gen.standard_normal((n, 5)),
+            gen.integers(0, 4, size=(n, 5)) * 1.0, 1e8 + gen.standard_normal((n, 3)))
+
+
 @pytest.mark.parametrize("source", [_TreeSource, _ScanSource])
 def test_candidate_bounds_hold_every_point_left_out(source):
     # the matcher trusts a candidate list up to its bound: no point of the
     # source (matched since the last rebuild or not) may lie nearer and be
     # left out. Rounded Cauchy values give ties, gaps and long tails
-    gen = np.random.default_rng(4)
-    d = 2
-    points = np.round(gen.standard_cauchy((400, d)), 1)
-    alive = (gen.random(400) < 0.7).astype(np.uint8)
-    src = source(points, alive)
-    alive[gen.random(400) < 0.3] = 0
-    rows = np.flatnonzero(alive)
+    for case in range(5):
+        gen = np.random.default_rng(4 + case)
+        points = (_hard_points(gen, 400)[case - 1] if case
+                  else np.round(gen.standard_cauchy((400, 2)), 1))
+        alive = (gen.random(400) < 0.7).astype(np.uint8)
+        src = source(points, alive)
+        alive[gen.random(400) < 0.3] = 0
+        rows = np.flatnonzero(alive)
 
-    def assert_bound(i, idx, bound):
-        out = np.setdiff1d(src.where, idx)
-        ex = np.square(points[out, 0] - points[i, 0])
-        for c in range(1, d):
-            ex += np.square(points[out, c] - points[i, c])
-        assert (ex >= bound).all()
+        def exact(i, idx):
+            ex = np.square(points[idx, 0] - points[i, 0])
+            for c in range(1, points.shape[1]):
+                ex += np.square(points[idx, c] - points[i, c])
+            return ex
 
-    for K in (2, 5, 16):
-        idx, bound = src.near(rows, K)
-        for r, i in enumerate(rows):
-            assert_bound(i, idx[r], np.broadcast_to(bound, (rows.size, 1))[r, 0])
-            assert_bound(i, *src.around(i, K))
+        def assert_bound(i, idx, bound):
+            assert (exact(i, np.setdiff1d(src.where, idx)) >= bound).all()
+
+        for K in (2, 5, 16):
+            idx, bound = src.near(rows, K)
+            bound = np.broadcast_to(bound, (rows.size, 1))[:, 0]
+            for r, i in enumerate(rows):
+                assert_bound(i, idx[r], bound[r])
+                assert_bound(i, *src.around(i, K))
+            if K > 2 and case in (1, 2, 4):  # no ties: each list reaches past the nearest
+                nearest = [exact(i, np.setdiff1d(src.where, i)).min() for i in rows]
+                assert (bound > nearest).all()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -248,7 +264,8 @@ def test_every_candidate_source_gives_the_same_groups(monkeypatch, k):
     gen = np.random.default_rng(k)
     for n in (cut // k * k, (cut // k + 1) * k):
         for psi in (gen.standard_normal((n, 3)), gen.integers(0, 4, size=(n, 2)) * 1.0,
-                    gen.standard_normal((n, 1)), gen.integers(0, 9, size=(n, 1)) * 1.0):
+                    gen.standard_normal((n, 1)), gen.integers(0, 9, size=(n, 1)) * 1.0,
+                    *_hard_points(np.random.default_rng(10 + k), n)):
             dispatched = stratify._greedy_groups(psi, k)
             if psi.shape[1] == 1:
                 psi = np.c_[psi, np.zeros(n)]
