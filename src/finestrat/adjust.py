@@ -56,20 +56,19 @@ def _gram_cholesky(gram, cond, names):
     )
 
 
-def fit_adjustment(fit, frame, partition, w=None, w_names=None):
+def fit_adjustment(fit, frame, partition, w=None):
     """Arm-specific projection coefficients of the influence contributions
-    on demeaned adjustment covariates, and the adjusted point estimate
+    on demeaned adjustment covariates (``w``, else the frame's w role, whose
+    column names errors cite), and the adjusted point estimate
     theta_adj = theta - E_n[H * alpha'w]."""
     u = fit.scores @ fit.Pi.T  # (n, d_theta) influence contributions
-    return _adjust(fit, frame, partition, w, w_names, u)
+    return _adjust(fit, frame, partition, w, u)
 
 
-def _adjust(fit, frame, partition, w, w_names, u):
+def _adjust(fit, frame, partition, w, u):
     """fit_adjustment for given (n, d_theta) influence contributions u."""
-    if w is None:
-        w = frame.covariates.w
-        w_names = w_names or frame.covariates.w_names
-    w = as_matrix(w, "w")
+    names = frame.covariates.w_names if w is None else ()
+    w = as_matrix(frame.covariates.w if w is None else w, "w")
     n, d_w = w.shape
     if d_w == 0:
         d_theta = fit.theta.size
@@ -77,7 +76,7 @@ def _adjust(fit, frame, partition, w, w_names, u):
             alpha=np.zeros((0, d_theta)), beta1=np.zeros((0, d_theta)),
             beta0=np.zeros((0, d_theta)), theta_adj=fit.theta.copy(), cond=1.0, w=w,
         )
-    names = w_names or tuple(f"w{j}" for j in range(d_w))
+    names = names or tuple(f"w{j}" for j in range(d_w))
     scale = np.abs(w).max(axis=0)
     wc = within_tuple_demean(w, partition)
     dead = np.abs(wc).max(axis=0) <= 1e-12 * np.maximum(scale, 1.0)
@@ -102,26 +101,26 @@ def _adjust(fit, frame, partition, w, w_names, u):
                          cond=cond, w=w)
 
 
-def two_step_adjust(frame, partition, spec, w=None, iterations=1, w_names=None):
+def two_step_adjust(frame, partition, spec, w=None, iterations=1):
     """Solve the unadjusted moment problem, fit the adjustment at the
     solution, and optionally iterate: re-evaluate scores at the adjusted
     estimate until the adjusted estimate is stationary (|change| < 1e-8)."""
     if iterations < 1:
         raise ConfigError("iterations must be >= 1")
     fit = solve_gmm(frame, spec)
-    adj = fit_adjustment(fit, frame, partition, w=w, w_names=w_names)
+    adj = fit_adjustment(fit, frame, partition, w=w)
     theta_prev = adj.theta_adj
     for _ in range(2, iterations + 1):
         scores = np.atleast_2d(spec.score(frame, theta_prev))
         u = scores @ fit.Pi.T
-        adj = _adjust(fit, frame, partition, adj.w, w_names, u)
+        adj = _adjust(fit, frame, partition, w, u)
         if np.abs(adj.theta_adj - theta_prev).max() < 1e-8:
             break
         theta_prev = adj.theta_adj
     return fit, adj
 
 
-def one_step_cate_adjust(frame, partition, w=None, w_names=None):
+def one_step_cate_adjust(frame, partition, w=None):
     """Closed-form adjustment for the treatment-effect BLP: the projection
     uses the influence H*y*x'(X'X/n)^{-1}, which does not depend on theta,
     so no second pass over the scores is needed. A different finite-sample
@@ -132,7 +131,7 @@ def one_step_cate_adjust(frame, partition, w=None, w_names=None):
     fit = solve_gmm(frame, score_cate_blp())
     hy = horvitz_thompson_weights(frame) * frame.y
     u = (hy[:, None] * x) @ fit.Pi  # Pi = -G^{-1} = (X'X/n)^{-1}
-    return fit, _adjust(fit, frame, partition, w, w_names, u)
+    return fit, _adjust(fit, frame, partition, w, u)
 
 
 def double_robustness_decomposition(frame, partition, fit, adj, gamma0, sate=None):

@@ -245,8 +245,7 @@ def cmd_estimate(args):
     if bad.size:
         raise ConfigError(f"manifest d treats {int(treated[bad[0]])} units in group "
                           f"{bad[0]}; the design treats l = {partition.l} in each group")
-    fit, adj = two_step_adjust(frame, partition, est_spec, w=table.w,
-                               w_names=table.w_names)
+    fit, adj = two_step_adjust(frame, partition, est_spec)
     comp = variance_components(frame, partition, adj, fit, spec=est_spec)
     report = confidence_intervals(
         fit, adj, comp,

@@ -4,8 +4,8 @@ Covariates are partitioned by role: ``psi`` columns drive the matching of
 units into groups, ``h`` columns enter the balance criterion during
 rerandomization, ``w`` columns are used for ex-post adjustment, and ``x``
 columns are heterogeneity regressors for treatment-effect models. A single
-CSV column may serve several roles; it is stored once and exposed through
-per-role views.
+CSV column may serve several roles; it is read once, and each role holds
+its own copy of its columns.
 """
 
 from __future__ import annotations

@@ -103,10 +103,10 @@ def treated_slots(G, k, l, gen, size, rows):
     is that of one integers call per round over all size * G (draw, group)
     pairs, whatever `rows` is: consecutive calls continue one stream. On the
     identity permutation round 0's draw is slot 0's pick, so for l = 1 each
-    chunk is drawn when it is reached. A consumer that stops early leaves
-    `gen` where the whole draw would either by skip_integers(gen, 0, k,
-    draws left * G), for l = 1, or, where that returns False, by exhausting
-    the iterator; for l >= 2 the draws are all made before the first chunk.
+    chunk is drawn when it is reached. Closed early, a started iterator
+    leaves `gen` where the whole draw would: for l = 1 it jumps over the
+    words not drawn (skip_integers) or, where that declines, draws them
+    chunk by chunk. An iterator never started draws nothing.
     For l >= 2 every round spans all size draws, so the permutation is built
     for all of them before the first chunk: one (size * G, k) row per group
     and draw, in the smallest unsigned dtype that holds k - 1, swapped in
@@ -115,8 +115,14 @@ def treated_slots(G, k, l, gen, size, rows):
     chunks = -(-size // rows)
     cuts = [size * c // chunks for c in range(chunks + 1)]
     if l == 1:
-        for a, b in zip(cuts, cuts[1:]):
-            yield _integers(gen, 0, k, (b - a, G))[:, :, None]
+        for c in range(chunks):
+            try:
+                yield _integers(gen, 0, k, (cuts[c + 1] - cuts[c], G))[:, :, None]
+            except GeneratorExit:
+                if not skip_integers(gen, 0, k, (size - cuts[c + 1]) * G):
+                    for a, b in zip(cuts[c + 1:], cuts[c + 2:]):
+                        _integers(gen, 0, k, (b - a, G))
+                raise
         return
     perm = np.empty((size * G, k), dtype=np.min_scalar_type(k - 1))
     perm[:] = np.arange(k)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import struct
+from contextlib import closing
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable
@@ -54,7 +55,6 @@ from .gmm import EstimandSpec, newton_root, solve_gmm
 from .randomize import (
     AssignmentDraw,
     assignment_matrix_from_treated,
-    skip_integers,
     treated_slots,
 )
 
@@ -647,21 +647,18 @@ def _bind(region, partition, h):
 def _batch_penalties(region, partition, h, gen, draws):
     """Penalties of `draws` fresh stratified draws."""
     bound = _bind(region, partition, h)
-    score = _scorer(bound, partition)
-    return np.concatenate([score(slots) for _, chunks in _slot_batches(bound, partition, gen, draws)
-                           for slots in chunks])
+    return np.concatenate([pens for _, pens in _scored(bound, partition, gen, draws)])
 
 
 # bytes of work arrays the kernel may hold for one chunk of a batch
 _CHUNK_BYTES = 8 << 20
 
 
-def _slot_batches(bound, partition, gen, draws):
+def _scored(bound, partition, gen, draws):
     """Draw `draws` fresh stratified draws in batches of 32 (assignment-based
-    regions) or 512 (stat-based regions); yields each batch's size and its
-    treated_slots iterator over chunks of its draws. Before the next batch
-    is drawn, each iterator must be exhausted or, for l = 1, its rest jumped
-    over as treated_slots says.
+    regions) or 512 (stat-based regions); yields (slots, penalties) for each
+    chunk of treated slots, in draw order. Closed early, it leaves `gen`
+    where the end of the current batch would, as treated_slots does.
 
     The batch is the unit of the generator stream: every batch is one
     treated_units_batch call, whatever its chunks. The chunks bound the work
@@ -675,13 +672,14 @@ def _slot_batches(bound, partition, gen, draws):
     nothing spans the batch, and for l >= 2 only the batch's
     one-byte-per-unit slot permutation does.
     """
-    G, k = partition.groups.shape
-    l = partition.l
+    (G, k), l = partition.groups.shape, partition.l
+    score = _scorer(bound, partition)
     batch = 32 if bound.stats is None else 512
     rows = max(1, _CHUNK_BYTES // (G * (9 * k + 8 * (l - 1))))
     for start in range(0, draws, batch):
-        size = min(batch, draws - start)
-        yield size, treated_slots(G, k, l, gen, size, rows)
+        with closing(treated_slots(G, k, l, gen, min(batch, draws - start), rows)) as chunks:
+            for slots in chunks:
+                yield slots, score(slots)
 
 
 def _scorer(bound, partition):
@@ -747,16 +745,13 @@ def rerandomize(partition, h, region, rng, max_draws=100_000):
 
     n = partition.n
     bound = _bind(region, partition, h)
-    score = _scorer(bound, partition)
-    G, k = partition.groups.shape
     scored = []
     best = (np.inf, 0, None)  # penalty, 1-based draw index, treated units
-    done = end = 0
+    done = 0
     accepted = False
-    for size, chunks in _slot_batches(bound, partition, gen, max_draws):
-        end += size
-        for slots in chunks:
-            pens = score(slots)
+    # closing at acceptance leaves the stream where the whole batch ends
+    with closing(_scored(bound, partition, gen, max_draws)) as chunks:
+        for slots, pens in chunks:
             hits = np.flatnonzero(bound.accepts(pens))
             accepted = hits.size > 0
             b = int(hits[0]) if accepted else int(np.argmin(pens))
@@ -767,13 +762,6 @@ def rerandomize(partition, h, region, rng, max_draws=100_000):
             done += pens.size
             if accepted:
                 break
-        if accepted:
-            # the stream ends where the whole batch does: the unscored rest
-            # is jumped over where its word count is fixed, else drawn
-            if not (partition.l == 1 and skip_integers(gen, 0, k, (end - done) * G)):
-                for _ in chunks:
-                    pass
-            break
     penalty, index, units = best
     d = assignment_matrix_from_treated(units[None], n)[0]
     return AssignmentDraw(d=d, draw_index=index, accepted=accepted, penalty=penalty,

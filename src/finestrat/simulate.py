@@ -79,7 +79,12 @@ class DgpDraw:
         return self.y1 - self.y0
 
     def ylevel(self, p):
-        return (1.0 - p) * self.y1 + p * self.y0
+        """(1 - p) Y(D(1)) + p Y(D(0)): the outcomes a unit shows when
+        assigned to either arm, weighted."""
+        if self.d1 is None:
+            return (1.0 - p) * self.y1 + p * self.y0
+        return ((1.0 - p) * np.where(self.d1 == 1, self.y1, self.y0)
+                + p * np.where(self.d0 == 1, self.y1, self.y0))
 
     def covariate_table(self, psi_cols=None, h_cols=None, w_cols=None, x=None):
         n, m = self.r.shape
@@ -120,8 +125,10 @@ def _covariance(dgp):
 
 def population_target(dgp, estimand):
     """The superpopulation target theta0 of ``estimand`` under ``dgp``, in
-    closed form: E[tau] for sate/late, and the coefficients of tau on
-    (1, r_0) for cate/clate.
+    closed form: E[c tau] for sate and E[tau | c = 1] for late, and the
+    coefficients of c tau (cate) or of tau among compliers (clate) on
+    (1, r_0), with c = d1 - d0 the complier indicator (1 without a
+    compliance rate).
 
     With r ~ N(0, Sigma), E[tau] = sum_j quad1_j Sigma_jj, as the linear and
     arctan parts are odd in r. As E[r_0] = 0, the cate slope is
@@ -129,14 +136,17 @@ def population_target(dgp, estimand):
     g = b1 - b0 (odd Gaussian moments vanish). For model 4, Stein's lemma,
     E[r f(r'b)] = Sigma b E[f'(r'b)], gives g = 2 b1 e(s1) - 2 b0 e(s0), where
     s^2 = b'Sigma b and e(s) = E[1 / (1 + s^2 Z^2)] for a standard normal Z.
-    Compliance is drawn apart from everything else, so late and clate equal
-    sate and cate.
+    Compliance is drawn apart from everything else, so late and clate are
+    the targets above with c = 1, and sate and cate those times the
+    compliance rate.
     """
     sigma = _covariance(dgp)
     b1, b0, quad1 = _model_coefficients(dgp.model, dgp.dim_r)
+    uses_x, needs_d = moment_of(estimand)
+    share = 1.0 if dgp.compliance is None or needs_d else dgp.compliance
     mean = 0.0 if quad1 is None else float(quad1 @ np.diag(sigma))
-    if not moment_of(estimand).uses_x:
-        return np.array([mean])
+    if not uses_x:
+        return share * np.array([mean])
     g = b1 - b0
     if dgp.model == 4:
         def stein(b):  # 2 b E[f'(r'b)] for f = 2 arctan
@@ -144,7 +154,7 @@ def population_target(dgp, estimand):
             return 2.0 * b * (math.sqrt(math.pi / 2.0) / s * math.exp(0.5 / s ** 2)
                               * math.erfc(1.0 / (math.sqrt(2.0) * s)))
         g = stein(b1) - stein(b0)
-    return np.array([mean, (sigma @ g)[0] / sigma[0, 0]])
+    return share * np.array([mean, (sigma @ g)[0] / sigma[0, 0]])
 
 
 def generate_dgp(spec, rng):
@@ -287,35 +297,38 @@ def check_designs(designs, dgp):
 
 def _moment_columns(draw, estimand, x):
     """The regressors x (a column of ones for an estimand without any), the
-    complier indicator d1 - d0 (ones for one that needs no realized
-    treatment) and whether it needs one."""
+    complier indicator c = d1 - d0 (ones without a compliance rate), the
+    moment's weight on x'theta (c for an estimand that needs the realized
+    treatment, else ones) and whether it needs one."""
     uses_x, needs_d = moment_of(estimand)
     n = draw.r.shape[0]
-    return x if uses_x else np.ones((n, 1)), draw.d1 - draw.d0 if needs_d else np.ones(n), needs_d
+    comp = np.ones(n) if draw.d1 is None else draw.d1 - draw.d0
+    return x if uses_x else np.ones((n, 1)), comp, comp if needs_d else np.ones(n), needs_d
 
 
 def finite_pop_estimand(draw, estimand, x=None):
-    """Root of the sample moment of the averaged score, computed from both
-    potential outcomes (simulation-only knowledge): solve(E_n[c x x'],
-    E_n[c x tau]) with c the complier indicator."""
-    x, comp, _ = _moment_columns(draw, estimand, x)
-    xc = x * comp[:, None]
-    return np.linalg.solve(xc.T @ x / x.shape[0], (xc * draw.tau[:, None]).mean(axis=0))
+    """Root of the assignment-averaged sample moment, computed from both
+    potential outcomes (simulation-only knowledge). Averaged over
+    assignments, H Y is Y(D(1)) - Y(D(0)) = c tau, with c the complier
+    indicator, so the root is solve(E_n[w x x'], E_n[c x tau]), w the
+    moment's weight: the intention-to-treat effect for sate/cate (w = 1),
+    the complier effect for late/clate (w = c)."""
+    x, comp, weight, _ = _moment_columns(draw, estimand, x)
+    xw = x * weight[:, None]
+    return np.linalg.solve(xw.T @ x / x.shape[0], (x * (comp * draw.tau)[:, None]).mean(axis=0))
 
 
 def _oracle_influence(draw, estimand, p, x=None):
     """Per-unit sampling and assignment influence values (after applying
     the linearization matrix), plus the population-target parameter."""
     theta0 = finite_pop_estimand(draw, estimand, x=x)
-    x, comp, needs_d = _moment_columns(draw, estimand, x)
-    inv = np.linalg.inv((x * comp[:, None]).T @ x / x.shape[0])
+    x, comp, weight, needs_d = _moment_columns(draw, estimand, x)
+    inv = np.linalg.inv((x * weight[:, None]).T @ x / x.shape[0])
     fit = x @ theta0
-    pi_phi = ((comp * (draw.tau - fit))[:, None] * x) @ inv.T
+    pi_phi = ((comp * draw.tau - weight * fit)[:, None] * x) @ inv.T
     level = draw.ylevel(p)
-    if needs_d:  # the outcome a unit shows in either arm, less the treatment's part
-        level = ((1.0 - p) * np.where(draw.d1 == 1, draw.y1, draw.y0)
-                 + p * np.where(draw.d0 == 1, draw.y1, draw.y0)
-                 - ((1.0 - p) * draw.d1 + p * draw.d0) * fit)
+    if needs_d:  # less the treatment's part
+        level = level - ((1.0 - p) * draw.d1 + p * draw.d0) * fit
     pi_a = (level[:, None] * x) @ inv.T
     return pi_phi, pi_a, theta0
 
@@ -493,7 +506,7 @@ def _one_replicate(dgp, designs, estimand, ci_alpha, seed, theta0, rep):
         table = data.covariate_table(psi_cols=design.psi_cols, h_cols=design.h_cols,
                                      w_cols=design.w_cols, x=x)
         frame = ExperimentFrame(covariates=table, d=draw.d, p=dgp.p, y=y, d_endog=d_endog)
-        fit, adj = two_step_adjust(frame, partition, spec, w=table.w)
+        fit, adj = two_step_adjust(frame, partition, spec)
         comp = variance_components(frame, partition, adj, fit, spec=spec)
         report = confidence_intervals(fit, adj, comp, contrasts=[c_vec], alpha=ci_alpha)
         (lo_f, hi_f), (lo_p, hi_p) = report.ci_fin[0], report.ci_pop[0]

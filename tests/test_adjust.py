@@ -55,6 +55,23 @@ def test_psi_measurable_w_rejected_under_perfect_pairs():
         fit_adjustment(fit, frame, part, w=psi_vals[:, None])
 
 
+def test_adjustment_errors_name_the_frames_w_columns():
+    # with no w given the frame's w role is adjusted on and its names are
+    # cited; an explicit w is named by position
+    n = 20
+    part = _pairs(n)
+    gen = np.random.default_rng(4)
+    w = np.column_stack([gen.standard_normal(n), np.repeat(np.arange(10.0), 2)])
+    table = CovariateTable(psi=np.zeros((n, 1)), h=None, w=w, x=None, ids=None,
+                           w_names=("age", "block"))
+    frame = ExperimentFrame(covariates=table, d=draw_stratified(part, RngSpec(5)).d, p=0.5,
+                            y=gen.standard_normal(n))
+    with pytest.raises(SingularityError, match=r"columns \['block'\] are constant"):
+        two_step_adjust(frame, part, score_sate())
+    with pytest.raises(SingularityError, match=r"columns \['w1'\] are constant"):
+        two_step_adjust(frame, part, score_sate(), w=w)
+
+
 def test_rank_deficient_gram_rejected_even_when_cholesky_succeeds():
     from finestrat.adjust import _gram_cholesky
 

@@ -172,3 +172,33 @@ def test_treated_slots_are_uniform_over_every_pattern(k, l):
     expect = G * size / len(patterns)
     chi2 = float(np.sum((counts[patterns] - expect) ** 2) / expect)
     assert chi2 < chdtri(len(patterns) - 1, 2.5e-5)
+
+
+def _slot_streams(held):
+    # two equal generators: PCG64 primed with `held` one-bit draws, or Philox
+    if held is None:
+        return np.random.Generator(np.random.Philox(65)), np.random.Generator(np.random.Philox(65))
+    return _primed_pair(held)
+
+
+@pytest.mark.parametrize("held", [0, 1, 2, 3, None], ids=["pcg0", "pcg1", "pcg2", "pcg3", "philox"])
+@pytest.mark.parametrize("k,l", [(2, 1), (4, 1), (8, 1), (3, 1), (4, 2)])
+def test_closed_slots_leave_the_stream_where_the_whole_draw_does(k, l, held):
+    # 10 chunks of 3-4 draws over 5 groups: closed after 1, 2 or 9 chunks,
+    # the iterator has yielded what exhausting it yields and leaves gen in
+    # the same state, jumped (PCG64 words) or drawn (k = 3, Philox)
+    G, size, rows = 5, 37, 4
+    for taken in (1, 2, 9):
+        gen, ref = _slot_streams(held)
+        full = list(treated_slots(G, k, l, ref, size, rows))
+        assert len(full) == 10
+        chunks = treated_slots(G, k, l, gen, size, rows)
+        for want in full[:taken]:
+            np.testing.assert_array_equal(next(chunks), want)
+        chunks.close()
+        np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)
+        np.testing.assert_array_equal(gen.integers(0, 5, size=9), ref.integers(0, 5, size=9))
+    # an iterator that was never started draws nothing
+    gen, ref = _slot_streams(held)
+    treated_slots(G, k, l, gen, size, rows).close()
+    np.testing.assert_equal(gen.bit_generator.state, ref.bit_generator.state)

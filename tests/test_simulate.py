@@ -1,4 +1,5 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,8 +166,9 @@ def test_population_variances_sr_design_quantities():
 def test_finite_pop_estimand_sate_and_late():
     dgp = DgpSpec(model=2, dim_r=3, n=2000, compliance=0.5)
     draw = generate_dgp(dgp, RngSpec(14))
-    assert finite_pop_estimand(draw, "sate")[0] == pytest.approx(draw.tau.mean())
     comp = (draw.d1 - draw.d0).astype(bool)
+    # sate is the intention-to-treat effect: tau where the assignment moves D, else 0
+    assert finite_pop_estimand(draw, "sate")[0] == pytest.approx(np.where(comp, draw.tau, 0).mean())
     assert finite_pop_estimand(draw, "late")[0] == pytest.approx(draw.tau[comp].mean())
 
 
@@ -239,6 +241,43 @@ def test_population_target_lies_within_four_standard_errors_of_an_oracle(
     target = population_target(dgp, estimand)
     assert target.shape == oracle.shape
     assert np.all(np.abs(target - oracle) <= 4.0 * se), (target, oracle, se)
+
+
+@pytest.mark.parametrize("model", [1, 2, 3, 4])
+@pytest.mark.parametrize("estimand", ["sate", "cate"])
+def test_population_target_of_an_intention_to_treat_effect(estimand, model):
+    """At compliance 0.5, sate and cate target c tau, c = d1 - d0: half the
+    full-compliance target, within four standard errors of a 2e5-unit
+    oracle."""
+    from finestrat.simulate import _oracle_influence, _regressors, population_target
+
+    dgp = DgpSpec(model=model, dim_r=5, n=200_000, compliance=0.5)
+    draw = generate_dgp(dgp, RngSpec(18, model))
+    pi_phi, _, oracle = _oracle_influence(draw, estimand, dgp.p, x=_regressors(estimand, draw.r))
+    se = pi_phi.std(axis=0) / np.sqrt(dgp.n)
+    target = population_target(dgp, estimand)
+    np.testing.assert_array_equal(target, 0.5 * population_target(replace(dgp, compliance=None),
+                                                                   estimand))
+    assert np.all(np.abs(target - oracle) <= 4.0 * se), (target, oracle, se)
+
+
+def test_noncompliance_intervals_cover_every_estimands_target():
+    # under noncompliance sate/cate estimate the intention-to-treat effect,
+    # late/clate the complier effect; each adjusted interval covers its own
+    # superpopulation target. Over 4000 replicates (seed 7) these coverages
+    # read 0.936-0.966 (cate lowest, clate highest, finite-n effects). At
+    # R = 400 the band [0.88, 0.995] (0.95 - 0.07 to 0.95 + 0.045) then
+    # fails one of the eight about 3e-5 of the time (6e-4 were each
+    # coverage 0.008, two standard errors, further out). Measured against
+    # tau rather than c tau, sate/cate cover 0.13-0.24
+    dgp = DgpSpec(model=2, dim_r=3, n=200, compliance=0.5)
+    designs = benchmark_designs(2, 3, accept_alpha=0.1, names=("C", "S"))
+    for estimand in ("sate", "cate", "late", "clate"):
+        res = run_monte_carlo(designs, dgp, replicates=400, seed=3, estimand=estimand)
+        assert res.failures == 0
+        for design in ("C", "S"):
+            cover = res.row(design, "adjusted")["cover_pop"]
+            assert 0.88 <= cover <= 0.995, (estimand, design, cover)
 
 
 # -- the replication engine -------------------------------------------------------
